@@ -284,8 +284,8 @@ def _cmd_workload_connect(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import os
     import signal
-    import threading
 
     from repro.server import EngineServer, ServerConfig
 
@@ -310,13 +310,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         engine,
         ServerConfig(host=args.host, port=args.port, workers=args.workers),
     ).start()
+    # Handlers before the readiness line: a supervisor may signal the
+    # instant it reads the line, and the default handler would skip the
+    # clean stop below.  The handler writes to a pipe rather than setting
+    # an Event: it runs on this thread, and Event.set() from inside
+    # Event.wait() can block on the Event's own lock.
+    wake_r, wake_w = os.pipe()
+    for sig in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(sig, lambda *_: os.write(wake_w, b"\0"))
     # The parseable readiness line CI and scripts wait for.
     print(f"serving {args.directory} at {server.address} "
           f"({len(engine.shards)} shard(s))", flush=True)
-    done = threading.Event()
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(sig, lambda *_: done.set())
-    done.wait()
+    os.read(wake_r, 1)
     print("shutting down", flush=True)
     server.stop(close_engine=True)
     return 0

@@ -58,7 +58,14 @@ class Entry:
     #: Write amplification re-files every entry ~W times, and the cache
     #: turns all but the first build's digest into an attribute read.
     #: Left unset until then (reading it raises ``AttributeError``).
-    __slots__ = ("key", "seqno", "kind", "value", "delete_key", "write_time", "bloom_pair")
+    #:
+    #: ``blob`` caches the entry's serialised bytes (a pure function of
+    #: the six fields above) the first time a durable writer encodes it
+    #: -- see :func:`repro.storage.codec.entry_blob`.  Unset in in-memory
+    #: engines, which never encode; not part of equality or hashing.
+    __slots__ = (
+        "key", "seqno", "kind", "value", "delete_key", "write_time", "bloom_pair", "blob",
+    )
 
     def __init__(
         self,

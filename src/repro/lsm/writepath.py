@@ -577,9 +577,14 @@ class WritePathController:
                             tree.disk.read_pages(1, reader.category)
                             page = pages[0]
                             tree.cache.put(file.file_id, tidx, page, pinned)
+                            found = page.get(key)
+                            if found is None:
+                                # Negative-lookup guard, as in
+                                # LSMTree.get_entry (hardened caches only).
+                                tree.cache.note_negative(file.file_id, tidx)
                         else:
                             level.lookup_cache_direct += 1
-                        found = page.get(key)
+                            found = page.get(key)
                 else:
                     found = file.get(key, reader, pinned)
                 if found is not None:

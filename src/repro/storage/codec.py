@@ -14,6 +14,16 @@ self-describing:
 
 All integers are little-endian.  The format is versioned through the magic
 number; bumping the layout means a new magic.
+
+Entries are immutable, so each is serialised **once in its life**:
+:func:`entry_blob` memoises the encoded bytes on the entry (normally at the
+WAL append every durable write performs) and every later writer -- flush,
+compaction output, KiWi replacement files, WAL rewrites -- moves those bytes
+instead of re-encoding field by field.  The first encode has a fast path for
+the shape every workload uses (int64 ``delete_key`` and ``key``): one
+``struct`` pack for everything up to the value; any other shape takes the
+general tagged-object route.  Both produce the same bytes -- the format and
+``PAGE_MAGIC`` are unchanged.
 """
 
 from __future__ import annotations
@@ -39,38 +49,42 @@ _I64_MAX = 2**63 - 1
 _u8 = struct.Struct("<B")
 _i64 = struct.Struct("<q")
 _u32 = struct.Struct("<I")
+_tagged_i64 = struct.Struct("<Bq")  # tag, int64
+_tagged_len = struct.Struct("<BI")  # tag, payload length
+_entry_head = struct.Struct("<Bqq")  # kind, seqno, write_time
+#: The entry head with an int64 ``delete_key`` and ``key`` behind it:
+#: kind, seqno, write_time, tag, delete_key, tag, key.
+_int_keyed_head = struct.Struct("<BqqBqBq")
 _page_header = struct.Struct("<III")  # magic, count, crc32
+
+_NONE_OBJ = _u8.pack(_TAG_NONE)
+
+
+def _obj_bytes(obj: Any) -> bytes:
+    """The tagged encoding of ``obj`` (None/int/bytes/str)."""
+    if obj is None:
+        return _NONE_OBJ
+    if isinstance(obj, bool):
+        raise TypeError("bool keys/values are not supported; use int")
+    if isinstance(obj, int):
+        if _I64_MIN <= obj <= _I64_MAX:
+            return _tagged_i64.pack(_TAG_INT64, obj)
+        payload = obj.to_bytes((obj.bit_length() + 8) // 8, "little", signed=True)
+        return _tagged_len.pack(_TAG_BIGINT, len(payload)) + payload
+    if isinstance(obj, bytes):
+        return _tagged_len.pack(_TAG_BYTES, len(obj)) + obj
+    if isinstance(obj, str):
+        payload = obj.encode("utf-8")
+        return _tagged_len.pack(_TAG_STR, len(payload)) + payload
+    raise TypeError(
+        f"cannot serialize {type(obj).__name__}; durable engines support "
+        "None, int, bytes, and str keys/values"
+    )
 
 
 def pack_obj(obj: Any, out: bytearray) -> None:
     """Append the tagged encoding of ``obj`` (None/int/bytes/str) to ``out``."""
-    if obj is None:
-        out += _u8.pack(_TAG_NONE)
-    elif isinstance(obj, bool):
-        raise TypeError("bool keys/values are not supported; use int")
-    elif isinstance(obj, int):
-        if _I64_MIN <= obj <= _I64_MAX:
-            out += _u8.pack(_TAG_INT64)
-            out += _i64.pack(obj)
-        else:
-            payload = obj.to_bytes((obj.bit_length() + 8) // 8, "little", signed=True)
-            out += _u8.pack(_TAG_BIGINT)
-            out += _u32.pack(len(payload))
-            out += payload
-    elif isinstance(obj, bytes):
-        out += _u8.pack(_TAG_BYTES)
-        out += _u32.pack(len(obj))
-        out += obj
-    elif isinstance(obj, str):
-        payload = obj.encode("utf-8")
-        out += _u8.pack(_TAG_STR)
-        out += _u32.pack(len(payload))
-        out += payload
-    else:
-        raise TypeError(
-            f"cannot serialize {type(obj).__name__}; durable engines support "
-            "None, int, bytes, and str keys/values"
-        )
+    out += _obj_bytes(obj)
 
 
 def unpack_obj(buf: bytes, offset: int) -> tuple[Any, int]:
@@ -104,14 +118,43 @@ def unpack_obj(buf: bytes, offset: int) -> tuple[Any, int]:
     raise CorruptionError(f"unknown object tag {tag} at offset {offset}")
 
 
+def _head_bytes(entry: Entry) -> bytes:
+    """Everything before the value: kind, seqno, write_time, delete_key, key."""
+    delete_key = entry.delete_key
+    key = entry.key
+    # ``type() is int`` keeps bools (rejected) and int subclasses on the
+    # general route; an int beyond int64 fails the pack and follows them.
+    if type(delete_key) is int and type(key) is int:
+        try:
+            return _int_keyed_head.pack(
+                entry.kind, entry.seqno, entry.write_time,
+                _TAG_INT64, delete_key, _TAG_INT64, key,
+            )
+        except struct.error:
+            pass
+    return (
+        _entry_head.pack(entry.kind, entry.seqno, entry.write_time)
+        + _obj_bytes(delete_key)
+        + _obj_bytes(key)
+    )
+
+
+def entry_blob(entry: Entry) -> bytes:
+    """The binary form of ``entry``, encoded on first use and kept on it.
+
+    Entries are immutable, so the bytes are a pure function of the entry
+    for its whole life; racing first encodes store equal values.
+    """
+    try:
+        return entry.blob
+    except AttributeError:
+        blob = entry.blob = _head_bytes(entry) + _obj_bytes(entry.value)
+        return blob
+
+
 def encode_entry(entry: Entry, out: bytearray) -> None:
     """Append the binary form of ``entry`` to ``out``."""
-    out += _u8.pack(int(entry.kind))
-    out += _i64.pack(entry.seqno)
-    out += _i64.pack(entry.write_time)
-    pack_obj(entry.delete_key, out)
-    pack_obj(entry.key, out)
-    pack_obj(entry.value, out)
+    out += entry_blob(entry)
 
 
 def decode_entry(buf: bytes, offset: int) -> tuple[Entry, int]:
@@ -137,11 +180,13 @@ def decode_entry(buf: bytes, offset: int) -> tuple[Entry, int]:
 
 def encode_page(entries: list[Entry]) -> bytes:
     """Serialize a page of entries with a CRC-protected header."""
-    payload = bytearray()
-    for entry in entries:
-        encode_entry(entry, payload)
-    crc = zlib.crc32(payload)
-    return _page_header.pack(PAGE_MAGIC, len(entries), crc) + bytes(payload)
+    try:
+        # Common case: every entry was encoded at its WAL append.
+        blobs = [entry.blob for entry in entries]
+    except AttributeError:
+        blobs = [entry_blob(entry) for entry in entries]
+    payload = b"".join(blobs)
+    return _page_header.pack(PAGE_MAGIC, len(entries), zlib.crc32(payload)) + payload
 
 
 def decode_page(data: bytes) -> list[Entry]:

@@ -194,11 +194,11 @@ class FileStore:
             blob = encode_page(page)
             buf += _u32.pack(len(blob))
             buf += blob
-        checksum = zlib.crc32(bytes(buf))
+        checksum = zlib.crc32(buf)
         buf += _u32.pack(checksum)
         self._publish(
             self.sstable_path(file_id),
-            bytes(buf),
+            bytes(buf),  # immutable for the fault injector's mangle
             fp.SSTABLE_WRITE,
             fp.SSTABLE_FSYNC,
             fp.SSTABLE_RENAME,

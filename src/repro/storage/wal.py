@@ -28,15 +28,25 @@ import os
 import struct
 import zlib
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.errors import CorruptionError, WALError
 from repro.lsm.entry import Entry
 from repro.storage import faults as fp
-from repro.storage.codec import decode_entry, encode_entry
+from repro.storage.codec import decode_entry, entry_blob
 from repro.storage.faults import FaultInjector, SimulatedCrash, retry_transient
 
 _frame = struct.Struct("<II")  # payload length, crc32
+
+
+def _frames(entries: Iterable[Entry]) -> bytes:
+    """One ``length(4) crc32(4) payload`` record per entry, concatenated."""
+    parts = []
+    for entry in entries:
+        payload = entry_blob(entry)
+        parts.append(_frame.pack(len(payload), zlib.crc32(payload)))
+        parts.append(payload)
+    return b"".join(parts)
 
 
 class WriteAheadLog:
@@ -88,10 +98,7 @@ class WriteAheadLog:
         """Durably append one entry."""
         if self._fh.closed:
             raise WALError(f"WAL {self.path} is closed")
-        payload = bytearray()
-        encode_entry(entry, payload)
-        buffer = _frame.pack(len(payload), zlib.crc32(payload)) + bytes(payload)
-        self._write_buffer(buffer)
+        self._write_buffer(_frames((entry,)))
         self.records_appended += 1
 
     def append_many(self, entries: list[Entry]) -> None:
@@ -102,13 +109,7 @@ class WriteAheadLog:
             return
         if self._fh.closed:
             raise WALError(f"WAL {self.path} is closed")
-        buffer = bytearray()
-        for entry in entries:
-            payload = bytearray()
-            encode_entry(entry, payload)
-            buffer += _frame.pack(len(payload), zlib.crc32(payload))
-            buffer += payload
-        self._write_buffer(bytes(buffer))
+        self._write_buffer(_frames(entries))
         self.records_appended += len(entries)
 
     def truncate(self) -> None:
@@ -134,13 +135,7 @@ class WriteAheadLog:
         any instant leaves either the complete old log or the complete
         new one.
         """
-        buffer = bytearray()
-        for entry in entries:
-            payload = bytearray()
-            encode_entry(entry, payload)
-            buffer += _frame.pack(len(payload), zlib.crc32(payload))
-            buffer += payload
-        self._rotate(bytes(buffer))
+        self._rotate(_frames(entries))
         self.records_appended += len(entries)
 
     def _rotate(self, contents: bytes) -> None:

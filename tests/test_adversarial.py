@@ -32,7 +32,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_acheron
+from conftest import TINY, make_acheron
+from repro.config import acheron_config
+from repro.core.engine import AcheronEngine
 from repro.errors import WorkloadError
 from repro.filters.bloom import BloomFilter, generate_salt
 from repro.shard.autosplit import AutoSplitConfig, AutoSplitController
@@ -169,6 +171,38 @@ class TestHardenedAdmission:
         assert plain.note_negative("f", 2) is False
         assert plain.get("f", 2) is not None
         assert plain.negative_guard_drops == 0
+
+
+class TestNegativeGuardOnReadPath:
+    """The guard must fire wherever a lookup admits a page: the serial
+    descent and the concurrent write path's copy of it."""
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_engine_drops_pages_admitted_for_bloom_false_positives(self, workers):
+        config = acheron_config(
+            delete_persistence_threshold=100_000,
+            pages_per_tile=1,
+            cache_pages=4096,  # never full: admission always succeeds
+            cache_hardened=True,
+            **TINY,
+        )
+        engine = AcheronEngine(config, workers=workers)
+        try:
+            for k in range(0, 6_000, 2):
+                engine.put(k, f"v{k}")
+            engine.flush()
+            cache = engine.tree.cache
+            assert len(cache) == 0
+            reads_before = engine.tree.disk.stats.pages_read
+            for k in range(1, 6_000, 2):  # absent keys inside every fence
+                assert engine.get(k) is None
+            # Some probes were bloom false positives and read a page ...
+            assert engine.tree.disk.stats.pages_read > reads_before
+            # ... and every such page below pinned level 1 was dropped again.
+            assert cache.negative_guard_drops > 0
+            assert len(cache) == cache.pinned_count
+        finally:
+            engine.close()
 
 
 # ---------------------------------------------------------------------------

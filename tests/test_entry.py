@@ -49,6 +49,18 @@ class TestSemantics:
         assert a != c
         assert a != "not an entry"
 
+    def test_equality_and_hash_ignore_cached_blob(self):
+        from repro.storage.codec import entry_blob
+
+        encoded = Entry.put("k", "v", seqno=1, write_time=2)
+        fresh = Entry.put("k", "v", seqno=1, write_time=2)
+        before = hash(encoded)
+        entry_blob(encoded)
+        assert hasattr(encoded, "blob") and not hasattr(fresh, "blob")
+        assert encoded == fresh and fresh == encoded
+        assert hash(encoded) == before == hash(fresh)
+        assert len({encoded, fresh}) == 1
+
     def test_repr_mentions_kind(self):
         assert "DEL" in repr(Entry.tombstone(1, 1))
         assert "PUT" in repr(Entry.put(1, "v", 1))

@@ -19,9 +19,14 @@ Four areas, mirroring the subsystem's contract:
 from __future__ import annotations
 
 import hashlib
+import os
+import signal
 import socket
 import struct
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -554,6 +559,43 @@ class TestRobustness:
                 assert len(list(client.scan(0, 2_000))) == 80
         finally:
             second.stop(close_engine=True)
+
+    def test_sigterm_on_the_readiness_line_still_stops_cleanly(self, tmp_path):
+        """A supervisor may signal the instant it reads the readiness
+        line, so the handlers must already be installed when it prints."""
+        directory = tmp_path / "store"
+        engine = tiny_engine(directory, 4)
+        engine.apply_batch([("put", k, f"v{k}") for k in range(0, 3_000, 7)])
+        engine.apply_batch([("delete", k) for k in range(0, 3_000, 35)])
+        expected = contents_digest(engine)
+        engine.close()
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", str(directory), "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+        )
+        try:
+            line = proc.stdout.readline()
+            proc.send_signal(signal.SIGTERM)
+            rest, _ = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+        assert line.startswith(f"serving {directory} at "), line + rest
+        assert "shutting down" in rest
+        assert proc.returncode == 0
+
+        reopened = ShardedEngine(directory=str(directory))
+        try:
+            assert contents_digest(reopened) == expected
+        finally:
+            reopened.close()
 
     def test_connect_after_stop_is_refused(self, tmp_path):
         engine = tiny_engine(tmp_path / "store", 1)
