@@ -57,26 +57,13 @@ def make_acheron(
 
 
 def run_mixed_workload(
-    engine: AcheronEngine, spec: WorkloadSpec, ingest_batch: int | None = None
+    engine: AcheronEngine, spec: WorkloadSpec
 ) -> tuple[WorkloadResult, EngineStats]:
-    """Execute one spec (preload + mixed phase) and snapshot the engine.
-
-    ``ingest_batch`` routes consecutive same-kind ingest operations through
-    the engine's batch API (behaviour-preserving; see
-    :func:`~repro.workload.runner.run_workload`).
-    """
+    """Execute one spec (preload + mixed phase) and snapshot the engine."""
     generator = WorkloadGenerator(spec)
-    run_workload(
-        engine,
-        generator.preload_operations(),
-        spec.secondary_delete_window,
-        ingest_batch=ingest_batch,
-    )
+    run_workload(engine, generator.preload_operations(), spec.secondary_delete_window)
     result = run_workload(
-        engine,
-        generator.mixed_operations(),
-        spec.secondary_delete_window,
-        ingest_batch=ingest_batch,
+        engine, generator.mixed_operations(), spec.secondary_delete_window
     )
     return result, engine.stats()
 

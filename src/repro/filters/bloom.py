@@ -228,20 +228,6 @@ class BloomFilter:
                 bits[bit >> 3] |= 1 << (bit & 7)
                 h += h2
 
-    def _hash_pair(self, key: Any) -> tuple[int, int]:
-        return hash_pair(_key_bytes(key), self.salt)
-
-    def add_hash(self, h1: int, h2: int) -> None:
-        """Set the bits for one pre-hashed key."""
-        if not self.num_bits:
-            return
-        self._set_pairs([(h1, h2)])
-
-    def _add(self, key: Any) -> None:
-        if not self.num_bits:
-            return
-        self.add_hash(*hash_pair(_key_bytes(key), self.salt))
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------

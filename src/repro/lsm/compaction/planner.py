@@ -44,28 +44,13 @@ _FAR_FUTURE = float("inf")
 class SaturationPlanner:
     """Plans classical (delete-unaware) compactions.
 
-    ``use_cached_stats`` (the default) reads the O(1) incremental counters
-    maintained by :class:`~repro.lsm.level.Level` and
-    :class:`~repro.lsm.run.Run`.  Setting it False re-derives every count
-    by walking runs and files -- the seed code path, kept so the perf suite
-    can measure the pre-cache trigger cost against the same tree.  Both
-    modes see identical values (cache coherence is invariant-checked), so
-    planning decisions never differ.
+    Triggers read the O(1) incremental counters maintained by
+    :class:`~repro.lsm.level.Level` and :class:`~repro.lsm.run.Run`
+    (cache coherence is invariant-checked).
     """
 
-    def __init__(self, config: LSMConfig, use_cached_stats: bool = True) -> None:
+    def __init__(self, config: LSMConfig) -> None:
         self.config = config
-        self.use_cached_stats = use_cached_stats
-
-    def _level_entries(self, level: Level) -> int:
-        if self.use_cached_stats:
-            return level.entry_count
-        return sum(f.entry_count for run in level.runs for f in run.files)
-
-    def _run_entries(self, run: Run) -> int:
-        if self.use_cached_stats:
-            return run.entry_count
-        return sum(f.entry_count for f in run.files)
 
     # ------------------------------------------------------------------
     # entry point
@@ -105,7 +90,7 @@ class SaturationPlanner:
                 continue
             if level.is_empty:
                 continue
-            if self._level_entries(level) > self.config.level_capacity_entries(level.index):
+            if level.entry_count > self.config.level_capacity_entries(level.index):
                 return self._move_one_file(tree, level)
         return None
 
@@ -242,7 +227,7 @@ class SaturationPlanner:
             #    (no merge -- nothing exists below it), creating the next
             #    level.
             (last_run,) = last_level.runs
-            if self._run_entries(last_run) > self.config.level_capacity_entries(last):
+            if last_run.entry_count > self.config.level_capacity_entries(last):
                 return CompactionTask(
                     reason=CompactionReason.RELOCATION,
                     inputs=[TaskInput(last, last_run, list(last_run.files))],

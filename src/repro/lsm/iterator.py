@@ -159,62 +159,11 @@ def _merge_resolve_2(
         yield from ib
 
 
-def merge_resolve_desc(
-    sources: list[Iterable[Entry]],
-    on_shadowed: ShadowCallback | None = None,
-) -> Iterator[Entry]:
-    """Descending-order twin of :func:`merge_resolve`.
-
-    Each source must be *descending* in sort key with unique keys within
-    itself.  Sorting by ``(key, seqno)`` reversed yields keys descending
-    and, within one key, the newest version first -- so the winner is the
-    first of each group, exactly as in the ascending variant.
-    """
-    if not sources:
-        return
-    if len(sources) == 1:
-        yield from sources[0]
-        return
-
-    merged = heapq.merge(*sources, key=lambda e: (e.key, e.seqno), reverse=True)
-    current: Entry | None = None
-    for entry in merged:
-        if current is None or entry.key != current.key:
-            if current is not None:
-                yield current
-            current = entry
-        else:
-            if on_shadowed is not None:
-                on_shadowed(entry, current)
-    if current is not None:
-        yield current
-
-
 def visible_entries(resolved: Iterable[Entry]) -> Iterator[Entry]:
     """Drop winning tombstones: what a user-level scan should see."""
     for entry in resolved:
         if entry.is_put:
             yield entry
-
-
-def scan_merge(
-    sources: list[Iterable[Entry]],
-    limit: int | None = None,
-    reverse: bool = False,
-) -> Iterator[Entry]:
-    """User-visible range scan over several sources (newest wins, no
-    tombstones), optionally truncated to ``limit`` results.
-
-    With ``reverse=True`` the sources must be key-descending and the
-    output (and the ``limit``) runs from the top of the range downward.
-    """
-    resolve = merge_resolve_desc if reverse else merge_resolve
-    produced = 0
-    for entry in visible_entries(resolve(sources)):
-        yield entry
-        produced += 1
-        if limit is not None and produced >= limit:
-            return
 
 
 def scan_fused(

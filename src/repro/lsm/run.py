@@ -17,7 +17,6 @@ touch the device directly, so I/O accounting is airtight.
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left, bisect_right
 from typing import Any, Iterator
 
@@ -384,54 +383,6 @@ class SSTableFile:
                 reader.cache.note_negative(self.file_id, flat)
         return entry
 
-    def range_entries(self, lo: Any, hi: Any, reader: PageReader) -> Iterator[Entry]:
-        """Entries with ``lo <= key <= hi`` in sort-key order.
-
-        Every page of an overlapping tile must be fetched (the weave means
-        any page may hold in-range keys) -- KiWi's range-read penalty.
-        """
-        for tile_idx in self.tile_fence.overlapping(lo, hi):
-            tile = self.tiles[tile_idx]
-            pages = [
-                reader.read_page(self, tile_idx, page_idx) for page_idx in range(len(tile.pages))
-            ]
-            merged: Iterator[Entry]
-            if len(pages) == 1:
-                merged = iter(pages[0].entries)
-            else:
-                merged = heapq.merge(*(p.entries for p in pages), key=lambda e: e.key)
-            for entry in merged:
-                if entry.key > hi:
-                    break
-                if entry.key >= lo:
-                    yield entry
-
-    def range_entries_desc(self, lo: Any, hi: Any, reader: PageReader) -> Iterator[Entry]:
-        """Entries with ``lo <= key <= hi`` in *descending* sort-key order.
-
-        Same I/O profile as the ascending variant: all pages of every
-        overlapping tile are fetched.
-        """
-        for tile_idx in reversed(self.tile_fence.overlapping(lo, hi)):
-            tile = self.tiles[tile_idx]
-            pages = [
-                reader.read_page(self, tile_idx, page_idx) for page_idx in range(len(tile.pages))
-            ]
-            merged: Iterator[Entry]
-            if len(pages) == 1:
-                merged = reversed(pages[0].entries)
-            else:
-                merged = heapq.merge(
-                    *(reversed(p.entries) for p in pages),
-                    key=lambda e: e.key,
-                    reverse=True,
-                )
-            for entry in merged:
-                if entry.key < lo:
-                    break
-                if entry.key <= hi:
-                    yield entry
-
     def all_entries(self) -> list[Entry]:
         """All entries in sort-key order as a list, *without* charging I/O.
 
@@ -615,16 +566,6 @@ class Run:
         if not file.bloom.might_contain(key):
             return None
         return file.get(key, reader)
-
-    def range_entries(self, lo: Any, hi: Any, reader: PageReader) -> Iterator[Entry]:
-        """In-order entries of the run restricted to ``[lo, hi]``."""
-        for idx in self.file_fence.overlapping(lo, hi):
-            yield from self.files[idx].range_entries(lo, hi, reader)
-
-    def range_entries_desc(self, lo: Any, hi: Any, reader: PageReader) -> Iterator[Entry]:
-        """Descending-order entries of the run restricted to ``[lo, hi]``."""
-        for idx in reversed(self.file_fence.overlapping(lo, hi)):
-            yield from self.files[idx].range_entries_desc(lo, hi, reader)
 
     def scan_blocks(
         self, lo: Any, hi: Any, reader: PageReader, reverse: bool = False

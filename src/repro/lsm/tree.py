@@ -139,10 +139,6 @@ class LSMTree:
         #: the planner entirely (the saturation triggers are functions of
         #: structure alone, so an unchanged tree cannot need work).
         self._maintenance_dirty = True
-        #: Escape hatch for the perf suite: set False to force every
-        #: ``maintain()`` call through the full planner evaluation,
-        #: reproducing the pre-cache write-path cost for comparison runs.
-        self.maintenance_fast_path = True
         self._planner = SaturationPlanner(config)
         #: Live policy-switch bookkeeping (the self-tuning compaction
         #: seam, :meth:`set_policy`).  The *applied* policy is durable
@@ -493,7 +489,6 @@ class LSMTree:
         counters = self.counters
         config = self.config
         fade = self._fade
-        fast = self.maintenance_fast_path
         make_put = Entry.put
         make_tombstone = Entry.tombstone
         clock_now = clock.now
@@ -560,10 +555,8 @@ class LSMTree:
                 # Inline maintain()'s fast path: when nothing structural
                 # changed and no expiry is due, maintain() would return
                 # without planning -- skip even the call.
-                if (
-                    not fast
-                    or self._maintenance_dirty
-                    or (fade is not None and self._fade_deadline_due())
+                if self._maintenance_dirty or (
+                    fade is not None and self._fade_deadline_due()
                 ):
                     self.maintain()
         finally:
@@ -759,11 +752,7 @@ class LSMTree:
         if wp is not None and not wp.owns_inline():
             wp.barrier()
             return 0
-        if (
-            self.maintenance_fast_path
-            and not self._maintenance_dirty
-            and not self._fade_deadline_due()
-        ):
+        if not self._maintenance_dirty and not self._fade_deadline_due():
             return 0
         executed = 0
         retired = 0

@@ -62,8 +62,8 @@ MAGIC = 0xAC7E
 
 #: Frames larger than this are refused by decoders (both sides): a
 #: length prefix beyond the cap is treated as garbage, not an allocation
-#: request.  Generous for the repo's workloads (a full-store scan of the
-#: perfsuite arms is far below it).
+#: request.  Generous for the repo's workloads (a full-store scan of any
+#: benchmark store is far below it).
 MAX_FRAME_BYTES = 32 * 1024 * 1024
 
 #: Bytes of header covered by the length prefix (magic..crc32).

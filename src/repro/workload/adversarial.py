@@ -8,9 +8,9 @@ negative-lookup floods), the shard router (concentrate every write on one
 range), and FADE's ``D_th`` ledger (tombstone churn).  This module builds
 those attacks as ordinary :class:`~repro.workload.spec.Operation` streams
 -- seeded, deterministic, and runnable through
-:func:`~repro.workload.runner.run_workload` and the CLI -- so the
-perfsuite can measure each defense against the *same* stream its
-undefended counterpart faces.
+:func:`~repro.workload.runner.run_workload` and the CLI -- so a
+test can measure each defense against the *same* stream its undefended
+counterpart faces (``tests/test_adversarial.py``).
 
 Every builder shares one signature::
 
@@ -209,8 +209,8 @@ def one_hit_flood(
     pages often enough to make them legitimately warm, which no frequency
     policy can (or should) reject.  Use a ``preload`` much larger than
     ``capacity * entries_per_page`` so the flood's page touches stay
-    one-hit-ish -- the perfsuite spec uses 32k keys against a 48-page
-    cache.
+    one-hit-ish -- the end-to-end defense test uses 32k keys against a
+    48-page cache.
     """
     rng = np.random.default_rng(seed)
     if preload <= hot * 2:

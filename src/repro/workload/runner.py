@@ -74,7 +74,6 @@ def run_workload(
     engine: "AcheronEngine",
     operations: Iterable[Operation],
     secondary_delete_window: float = 0.05,
-    ingest_batch: int | None = None,
     writers: int | None = None,
     secondary_delete_method: str = "auto",
     connect: str | None = None,
@@ -90,14 +89,6 @@ def run_workload(
     :meth:`AcheronEngine.delete_range` for every secondary delete --
     ``"lazy"`` records an O(1) range-tombstone fence instead of
     rewriting files eagerly.
-
-    ``ingest_batch``: when set (>= 2), consecutive operations of the same
-    ingest kind (insert/update/point-delete) are grouped into batches of at
-    most this size and applied through :meth:`AcheronEngine.apply_batch`.
-    The engine guarantees batch application is behaviourally identical to
-    per-op application, so results (including simulated I/O) are unchanged;
-    only the Python-level overhead drops.  Per-kind attribution is exact
-    because each batch is homogeneous in kind.
 
     ``writers``: when set (>= 2), consecutive *ingest* operations (any mix
     of insert/update/point-delete) are replayed by this many concurrent
@@ -116,8 +107,7 @@ def run_workload(
     a **fault-injected** engine is refused with :class:`WorkloadError`
     rather than silently degraded -- fault schedules are visit-ordered,
     so a silently serial (or thread-racing) replay would fire them at
-    different points than the caller armed them for.  Takes precedence
-    over ``ingest_batch``.
+    different points than the caller armed them for.
 
     ``connect``: when set (``"HOST:PORT"``), the stream replays against a
     live :class:`~repro.server.core.EngineServer` at that address instead
@@ -170,15 +160,6 @@ def run_workload(
             result,
             secondary_delete_method,
         )
-    elif ingest_batch is not None and ingest_batch >= 2:
-        _run_batched(
-            engine,
-            operations,
-            secondary_delete_window,
-            ingest_batch,
-            result,
-            secondary_delete_method,
-        )
     else:
         for op in operations:
             _run_one(engine, op, secondary_delete_window, result, secondary_delete_method)
@@ -205,47 +186,6 @@ def _run_one(
     agg.modeled_us += stats.modeled_us - before_us
     agg.results_returned += returned
     result.operations += 1
-
-
-def _run_batched(
-    engine: "AcheronEngine",
-    operations: Iterable[Operation],
-    window: float,
-    batch_size: int,
-    result: WorkloadResult,
-    method: str = "auto",
-) -> None:
-    pending: list[Operation] = []
-
-    def drain() -> None:
-        if not pending:
-            return
-        kind = pending[0].kind
-        stats = engine.disk.stats
-        before_read = stats.pages_read
-        before_written = stats.pages_written
-        before_us = stats.modeled_us
-        if kind is OpKind.POINT_DELETE:
-            engine.apply_batch(("delete", op.key) for op in pending)
-        else:
-            engine.put_many((op.key, op.value) for op in pending)
-        agg = result.kind(kind)
-        agg.count += len(pending)
-        agg.pages_read += stats.pages_read - before_read
-        agg.pages_written += stats.pages_written - before_written
-        agg.modeled_us += stats.modeled_us - before_us
-        result.operations += len(pending)
-        pending.clear()
-
-    for op in operations:
-        if op.kind in _BATCHABLE:
-            if pending and (pending[0].kind is not op.kind or len(pending) >= batch_size):
-                drain()
-            pending.append(op)
-            continue
-        drain()
-        _run_one(engine, op, window, result, method)
-    drain()
 
 
 def _run_multi(

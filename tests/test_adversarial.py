@@ -17,10 +17,10 @@ and each pair gets both sides tested here:
 * **salt persistence** -- the salt is a durable secret: it must survive a
   close/reopen bit-exact, and the doctor must verify it is on disk.
 
-The end-to-end degradation numbers (defended vs undefended engines under
-each full attack) live in the perfsuite's ``adversarial`` phase; these
-tests pin the mechanisms at unit scale so a regression names the broken
-part.
+Most tests pin the mechanisms at unit scale so a regression names the
+broken part; :func:`test_defense_beats_undefended_arm` closes the loop
+end to end, replaying each full attack against a defended and an
+undefended engine.
 """
 
 from __future__ import annotations
@@ -33,10 +33,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import TINY, make_acheron
-from repro.config import acheron_config
+from repro.config import CompactionStyle, acheron_config
 from repro.core.engine import AcheronEngine
 from repro.errors import WorkloadError
 from repro.filters.bloom import BloomFilter, generate_salt
+from repro.shard import ShardedEngine
 from repro.shard.autosplit import AutoSplitConfig, AutoSplitController
 from repro.storage.cache import BlockCache
 from repro.workload.adversarial import (
@@ -46,6 +47,7 @@ from repro.workload.adversarial import (
     hot_set_keys,
 )
 from repro.workload.generator import KEY_STRIDE
+from repro.workload.runner import run_workload
 from repro.workload.spec import OpKind
 
 
@@ -385,3 +387,99 @@ class TestHardenedStatsRoundTrip:
         assert cache["hardened"] is False
         assert cache["doorkeeper_rejections"] == 0
         assert cache["negative_guard_drops"] == 0
+
+
+# ---------------------------------------------------------------------------
+# end to end: each defense beats its undefended arm under the full attack
+# ---------------------------------------------------------------------------
+def _bloom_defeat_fpr(salted: bool) -> float:
+    engine = AcheronEngine.acheron(
+        memtable_entries=512, size_ratio=16, policy=CompactionStyle.TIERING,
+        bloom_salted=salted,
+    )
+    ops = build_adversary(
+        "bloom_defeat", seed=3, preload=4096, operations=4000,
+        memtable_entries=512, bits_per_key=engine.config.bloom_bits_per_key,
+    )
+    run_workload(engine, ops)
+    levels = engine.tree.read_stats()["levels"]
+    probes = sum(r["lookup_probes"] for r in levels)
+    skips = sum(r["lookup_skips_bloom"] for r in levels)
+    engine.close()
+    return probes / (probes + skips)
+
+
+def _hot_residency(attack: str, preload: int, hot_every: int, cache_pages: int):
+    def run(hardened: bool) -> float:
+        engine = AcheronEngine.acheron(
+            memtable_entries=256, cache_pages=cache_pages, cache_hardened=hardened
+        )
+        run_workload(engine, build_adversary(
+            attack, seed=3, preload=preload, operations=7000,
+            memtable_entries=256, hot=16, hot_every=hot_every,
+        ))
+        hot = hot_set_keys(preload, 16)
+        before = engine.disk.stats.pages_read
+        for key in hot:
+            engine.get(key)
+        residency = 1.0 - (engine.disk.stats.pages_read - before) / len(hot)
+        engine.close()
+        return residency
+
+    return run
+
+
+def _storm_write_share(auto_split: bool) -> float:
+    ops = build_adversary("hot_shard_storm", seed=5, preload=4096, operations=12000)
+    engine = ShardedEngine(
+        config=acheron_config(memtable_entries=256),
+        shards=4,
+        key_space=(0, 4096 * KEY_STRIDE),
+        auto_split=AutoSplitConfig(window_ops=1024, hysteresis=3, cooldown_ops=4096)
+        if auto_split else None,
+    )
+    run_workload(engine, ops)
+    per_shard: dict[int, int] = {}
+    for op in ops[4096:]:
+        idx = engine.partition_map.shard_for(op.key)
+        per_shard[idx] = per_shard.get(idx, 0) + 1
+    engine.close()
+    return max(per_shard.values()) / (len(ops) - 4096)
+
+
+def _oldest_tombstone_age(fade: bool) -> int:
+    engine = (
+        AcheronEngine.acheron(delete_persistence_threshold=2000, memtable_entries=256)
+        if fade else AcheronEngine.baseline(memtable_entries=256)
+    )
+    run_workload(engine, build_adversary(
+        "tombstone_churn", seed=5, preload=4096, operations=8000
+    ))
+    report = engine.compliance_report()
+    engine.close()
+    age = report["oldest_pending_age"] or 0
+    if fade:
+        assert report["deadline_violations"] == 0 and age <= 2000
+    return age
+
+
+#: attack -> (metric of one arm given "defended?", lower is better, gain
+#: measured at this shape).  Each defense must beat its undefended arm by
+#: at least half the measured gain; the bloom salt is random per tree, so
+#: the FPR row is the one with real run-to-run spread.
+DEFENSES = {
+    "bloom_defeat": (_bloom_defeat_fpr, True, 1.0 - 0.02),
+    "empty_flood": (_hot_residency("empty_flood", 8192, 512, 32), False, 1.0 - 0.25),
+    "one_hit_flood": (_hot_residency("one_hit_flood", 32768, 32, 48), False, 0.63 - 0.31),
+    "hot_shard_storm": (_storm_write_share, True, 1.0 - 0.50),
+    "tombstone_churn": (_oldest_tombstone_age, True, 2880 - 64),
+}
+
+
+@pytest.mark.usefixtures("serial_write_path")  # residency and ages are schedule-exact
+@pytest.mark.parametrize("attack", sorted(DEFENSES))
+def test_defense_beats_undefended_arm(attack):
+    metric, lower_is_better, measured_gain = DEFENSES[attack]
+    undefended, defended = metric(False), metric(True)
+    gain = undefended - defended if lower_is_better else defended - undefended
+    assert gain >= measured_gain / 2, (attack, undefended, defended)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lsm.entry import Entry
-from repro.lsm.iterator import CountingIterator, merge_resolve, scan_merge, visible_entries
+from repro.lsm.iterator import CountingIterator, merge_resolve, scan_fused, visible_entries
 
 
 def put(key, seqno):
@@ -104,17 +104,18 @@ class TestVisibility:
         resolved = [put(1, 1), tomb(2, 2), put(3, 3)]
         assert [e.key for e in visible_entries(resolved)] == [1, 3]
 
+    # The scan merge is ``scan_fused``: each source yields sorted blocks.
     def test_scan_merge_hides_deleted_keys(self):
-        got = list(scan_merge([[put(1, 1), put(2, 2)], [tomb(2, 5)]]))
+        got = list(scan_fused([[[put(1, 1), put(2, 2)]], [[tomb(2, 5)]]]))
         assert [e.key for e in got] == [1]
 
     def test_scan_merge_limit(self):
-        src = [[put(k, k + 1) for k in range(10)]]
-        assert len(list(scan_merge(src, limit=3))) == 3
+        src = [[[put(k, k + 1) for k in range(10)]]]
+        assert len(list(scan_fused(src, limit=3))) == 3
 
     def test_scan_merge_limit_counts_only_visible(self):
-        sources = [[put(1, 1), put(2, 2), put(3, 3)], [tomb(1, 9)]]
-        got = list(scan_merge(sources, limit=2))
+        sources = [[[put(1, 1), put(2, 2), put(3, 3)]], [[tomb(1, 9)]]]
+        got = list(scan_fused(sources, limit=2))
         assert [e.key for e in got] == [2, 3]
 
     def test_counting_iterator(self):

