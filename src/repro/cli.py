@@ -20,8 +20,8 @@ Five subcommands mirror the ways the demonstration was driven:
   engine (put/get/del/purge/dashboards), reading stdin;
 * ``record``   -- materialize a generated workload into a checksummed
   trace file that ``workload --replay`` (or any other tool) can replay;
-* ``serve``    -- serve a durable store over TCP (the master/executor
-  server in :mod:`repro.server.core`); pair with
+* ``serve``    -- serve a durable store over TCP (the reader-routed
+  executor server in :mod:`repro.server.core`); pair with
   ``workload --connect HOST:PORT --clients N`` to replay any workload
   (including ``--adversary``) over the wire.
 
@@ -125,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          "--connect (default 1)")
 
     serve = sub.add_parser(
-        "serve", help="serve a durable store over TCP (master/executor workers)"
+        "serve", help="serve a durable store over TCP (shard-affine executor workers)"
     )
     serve.add_argument("directory", help="durable store root (created if missing)")
     serve.add_argument("--host", default="127.0.0.1")

@@ -59,6 +59,8 @@ def format_server_load(server: dict[str, Any], name: str = "server") -> str:
         ["requests accepted", report.get("accepted", 0)],
         ["requests completed", report.get("completed", 0)],
         ["completion rate", f"{report['completion_rate']:.3f}"],
+        ["batches routed", report.get("route_batches", 0)],
+        ["response sends", report.get("response_sends", 0)],
         ["barrier ops", report.get("barrier_ops", 0)],
         ["scatter batches", report.get("scatter_batches", 0)],
         ["shed total", report.get("shed_total", 0)],

@@ -1,12 +1,12 @@
-"""The served engine: wire protocol, master/executor server, client.
+"""The served engine: wire protocol, reader-routed executor server, client.
 
 ``repro.server`` turns the embedded engine into a network service:
 
 * :mod:`repro.server.protocol` -- the length-prefixed binary frame
   format and its partial-frame-safe decoder;
-* :mod:`repro.server.core` -- :class:`EngineServer`, the master
-  accept-and-route loop over shard-affine executor workers, with
-  admission control at the door;
+* :mod:`repro.server.core` -- :class:`EngineServer`: per-connection
+  readers route batches of requests to shard-affine executor workers,
+  with admission control at the door;
 * :mod:`repro.server.client` -- :class:`EngineClient`, the pooled,
   pipelining client mirroring the embedded data-plane API.
 """

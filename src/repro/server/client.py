@@ -159,12 +159,19 @@ class ClientConnection:
             self._drop()
             raise ConnectionLost(f"send to {self.address} failed: {exc}") from exc
 
-    def _recv_frame(self) -> Frame:
+    def _recv_frames(self) -> list[Frame]:
+        """Every complete frame buffered, waiting for at least one."""
         assert self._sock is not None
         while True:
-            frame = self._decoder.next_frame()
-            if frame is not None:
-                return frame
+            try:
+                frames = list(self._decoder.drain())
+            except ProtocolError as exc:
+                self._drop()
+                raise ConnectionLost(
+                    f"protocol error from {self.address}: {exc}"
+                ) from exc
+            if frames:
+                return frames
             try:
                 data = self._sock.recv(65536)
             except socket.timeout as exc:
@@ -178,13 +185,7 @@ class ClientConnection:
             if not data:
                 self._drop()
                 raise ConnectionLost(f"{self.address} closed the connection")
-            try:
-                self._decoder.feed(data)
-            except ProtocolError as exc:
-                self._drop()
-                raise ConnectionLost(
-                    f"protocol error from {self.address}: {exc}"
-                ) from exc
+            self._decoder.feed(data)
 
     # -- pipelined submission -------------------------------------------
     def pipeline(
@@ -242,13 +243,18 @@ class ClientConnection:
     ) -> dict[int, ServerError]:
         """One send/recv pass over ``todo``; fills ``results`` for OK
         responses, returns ``{index: shed}`` for shed ones, raises the
-        first hard error after the window drains."""
+        first hard error after the window drains.
+
+        Each refill of the window is one send, and every response one
+        ``recv`` delivered is handled before the next refill, so a busy
+        window moves in batches rather than a frame at a time."""
         pending: dict[int, int] = {}  # request_id -> index into requests
         sent_at: dict[int, float] = {}
         shed: dict[int, ServerError] = {}
         hard: ServerError | None = None
         cursor = 0
         while cursor < len(todo) or pending:
+            frames: list[bytes] = []
             # Once anything sheds, every later same-generation request is
             # dead on arrival (the server's pipeline-abort rule), so stop
             # feeding the doomed suffix and just drain what's in flight.
@@ -260,23 +266,25 @@ class ClientConnection:
                 kind, payload = requests[index]
                 pending[rid] = index
                 sent_at[rid] = time.perf_counter()
-                self._send(encode_frame(kind, rid, payload, self._generation))
+                frames.append(encode_frame(kind, rid, payload, self._generation))
+            if frames:
+                self._send(b"".join(frames))
             if not pending:  # shed with the unsent suffix still in todo
                 break
-            frame = self._recv_frame()
-            index = pending.pop(frame.request_id, None)
-            if index is None:
-                continue  # stale response from a pre-reconnect life
-            wall_us = (time.perf_counter() - sent_at.pop(frame.request_id)) * 1e6
-            if frame.kind == Resp.OK:
-                result, cost_us = frame.payload
-                results[index] = CallResult(result, float(cost_us), wall_us)
-            else:
-                err = _decode_error(frame)
-                if err.is_shed:
-                    shed[index] = err
+            for frame in self._recv_frames():
+                index = pending.pop(frame.request_id, None)
+                if index is None:
+                    continue  # stale response from a pre-reconnect life
+                wall_us = (time.perf_counter() - sent_at.pop(frame.request_id)) * 1e6
+                if frame.kind == Resp.OK:
+                    result, cost_us = frame.payload
+                    results[index] = CallResult(result, float(cost_us), wall_us)
                 else:
-                    hard = hard or err
+                    err = _decode_error(frame)
+                    if err.is_shed:
+                        shed[index] = err
+                    else:
+                        hard = hard or err
         if hard is not None:
             raise hard
         return shed

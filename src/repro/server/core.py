@@ -1,33 +1,38 @@
-"""The served engine: a master/executor socket server over the shards.
+"""The served engine: reader-routed, shard-affine executors over the shards.
 
 Process model (one Python process, thread-per-role -- the same threading
-discipline the PR 4 write path and the PR 5 shard-affine workload pool
-established):
+discipline the background write path and the shard-affine workload pool
+use):
 
 * an **accept thread** owns the listening socket and spawns one reader
   thread per connection;
-* **reader threads** parse frames off their socket
-  (:class:`~repro.server.protocol.FrameDecoder`) and push them onto one
-  intake queue -- they never touch the engine;
-* the **master route loop** (the only consumer of the intake queue)
-  validates each request, runs admission control, and routes it: shard-
-  affine requests go to the executor worker *owning* that shard, multi-
-  shard batches are scattered per shard, and global operations
-  (cross-shard scans, secondary-delete fan-outs, stats) run on the master
-  itself behind an executor barrier;
+* **reader threads** parse every frame one ``recv`` delivered
+  (:class:`~repro.server.protocol.FrameDecoder`) and route them as one
+  batch: each request is validated and admitted, shard-affine requests
+  are staged for the executor worker *owning* that shard, multi-shard
+  batches are scattered per shard, and global operations (cross-shard
+  scans, secondary-delete fan-outs, stats) run on the reader itself
+  behind an executor barrier.  At the end of the batch each worker gets
+  its staged jobs in one queue operation, and the connection gets every
+  answer the reader gave itself (sheds, rejections, pings, barriers) in
+  one send.  Routing holds the server's route lock, so admission state
+  has one writer at a time and a barrier owns the world while it runs;
 * **executor workers** each own a fixed subset of shards
   (``shard i -> worker i % W``, via
-  :meth:`~repro.shard.partition.PartitionMap` routing) and execute
-  requests against those shard trees directly -- **no cross-worker
-  locking on the data path**: a shard's tree is only ever driven by its
-  one worker (or by the master while every worker is provably idle),
-  which is exactly the invariant the sharded engine's own multi-writer
-  replay relies on.
+  :meth:`~repro.shard.partition.PartitionMap` routing), take every job
+  queued for them at once, execute the jobs in order against those shard
+  trees directly, and send each connection its responses from that batch
+  in one ``sendall`` -- **no cross-worker locking on the data path**: a
+  shard's tree is only ever driven by its one worker (or by a barrier
+  while every worker is provably idle), which is exactly the invariant
+  the sharded engine's own multi-writer replay relies on.
 
-Requests from one connection execute in arrival order (reader -> FIFO
-intake -> FIFO worker queue, and one key always maps to one worker), so a
-pipelined connection behaves like a serial client at each key -- the
-property that makes served replays digest-equivalent to embedded ones.
+Requests from one connection execute in arrival order (one reader routes
+them in order, a barrier hands over everything routed before it and waits
+for it to finish, each worker queue is FIFO, and one key always maps to
+one worker), so a pipelined connection behaves like a serial client at
+each key -- the property that makes served replays digest-equivalent to
+embedded ones.
 
 **Admission control** (see :class:`AdmissionConfig`) sheds load with
 structured ``RETRY_AFTER`` errors instead of queueing without bound:
@@ -57,7 +62,6 @@ wanted.
 
 from __future__ import annotations
 
-import queue
 import socket
 import struct
 import threading
@@ -155,14 +159,18 @@ class _Connection:
         self.peer = peer
         self.conn_id = conn_id
         self.send_lock = threading.Lock()
+        #: Guards ``inflight``: routers raise it, executors lower it.
         self.state_lock = threading.Lock()
         self.inflight = 0
         #: Generation currently being shed (pipeline abort), or None.
+        #: Read and written only under the server's route lock.
         self.shed_generation: int | None = None
         self.alive = True
 
-    def send_frame(self, data: bytes) -> bool:
-        """Best-effort framed send; False (and dead) on any socket error."""
+    def send_frames(self, frames: list[bytes]) -> bool:
+        """Best-effort send of ``frames`` in one ``sendall``; False (and
+        dead) on any socket error."""
+        data = b"".join(frames)
         with self.send_lock:
             if not self.alive:
                 return False
@@ -229,6 +237,40 @@ class _Scatter:
             return self.remaining == 0
 
 
+class _WorkQueue:
+    """One executor's FIFO: a router appends a batch of jobs in one call,
+    the owning worker takes everything queued in one call and says when
+    it has finished them."""
+
+    __slots__ = ("_jobs", "_busy", "_ready")
+
+    def __init__(self) -> None:
+        self._jobs: list = []
+        #: Size of the batch the worker took and has not finished.
+        self._busy = 0
+        self._ready = threading.Condition(threading.Lock())
+
+    def __len__(self) -> int:
+        """Jobs queued or still executing: the depth admission caps."""
+        return len(self._jobs) + self._busy
+
+    def put_many(self, jobs: list) -> None:
+        with self._ready:
+            self._jobs.extend(jobs)
+            self._ready.notify()
+
+    def take_all(self) -> list:
+        with self._ready:
+            while not self._jobs:
+                self._ready.wait()
+            jobs, self._jobs = self._jobs, []
+            self._busy = len(jobs)
+        return jobs
+
+    def done(self) -> None:
+        self._busy = 0
+
+
 # ---------------------------------------------------------------------------
 # the server
 # ---------------------------------------------------------------------------
@@ -269,16 +311,13 @@ class EngineServer:
 
         self._listener: socket.socket | None = None
         self._port: int | None = None
-        self._intake: "queue.Queue[tuple]" = queue.Queue(maxsize=4096)
-        self._queues: list["queue.Queue[Any]"] = [
-            queue.Queue() for _ in range(self._workers)
-        ]
+        self._queues = [_WorkQueue() for _ in range(self._workers)]
         self._idle = threading.Condition()
-        #: Dispatched-but-unfinished executor jobs.  Incremented by the
-        #: master *before* enqueue and decremented by executors after
-        #: execution, so "pending == 0" really means every worker is
-        #: idle -- there is no popped-but-not-yet-flagged window for a
-        #: barrier to slip through.
+        #: Handed-over-but-unfinished executor jobs.  Raised by a router
+        #: *before* the hand-over and lowered by an executor once its
+        #: batch is executed and answered, so "pending == 0" really means
+        #: every worker is idle -- there is no taken-but-not-yet-flagged
+        #: window for a barrier to slip through.
         self._pending = 0
         self._threads: list[threading.Thread] = []
         self._conns: dict[int, _Connection] = {}
@@ -287,7 +326,14 @@ class EngineServer:
         self._stopping = threading.Event()
         self._started = False
 
-        # --- admission-control state (master-thread-only mutation) ---
+        # --- routing and admission state (mutated under the route lock) ---
+        self._route_lock = threading.Lock()
+        #: Jobs routed in the current batch, per worker, not yet handed over.
+        self._staged: list[list[_Job]] = [[] for _ in range(self._workers)]
+        #: Answers the router owes the connection whose batch it routes.
+        self._outbox: list[bytes] = []
+        #: Set by stop() as it queues the stop markers: nothing may follow them.
+        self._routing_closed = False
         self._counters: dict[str, int] = {
             "accepted": 0,
             "completed": 0,
@@ -305,6 +351,11 @@ class EngineServer:
             "barrier_ops": 0,
             "scatter_batches": 0,
             "hot_windows": 0,
+            #: Batches routed: the complete frames one ``recv`` delivered.
+            "route_batches": 0,
+            #: ``sendall`` calls carrying responses (one per connection
+            #: per routed or executed batch).
+            "response_sends": 0,
         }
         self._op_counts: dict[str, int] = {}
         self._stats_lock = threading.Lock()
@@ -347,10 +398,6 @@ class EngineServer:
             thread.daemon = True
             thread.start()
             self._threads.append(thread)
-        master = threading.Thread(target=self._master_loop, name="repro-master")
-        master.daemon = True
-        master.start()
-        self._threads.append(master)
         acceptor = threading.Thread(target=self._accept_loop, name="repro-accept")
         acceptor.daemon = True
         acceptor.start()
@@ -359,14 +406,19 @@ class EngineServer:
 
     def stop(self, close_engine: bool = False) -> None:
         """Graceful shutdown: accepted requests finish (writes stay
-        acknowledged-iff-applied), queued-but-unrouted ones answer
+        acknowledged-iff-applied), requests read afterwards answer
         ``SHUTTING_DOWN``, then sockets close and threads join."""
         if not self._started or self._stopping.is_set():
             if close_engine:
                 self.engine.close()
             return
         self._stopping.set()
-        self._intake.put(("stop",))
+        with self._route_lock:
+            # Executors finish everything handed over before the marker,
+            # so every acknowledged write was applied.
+            self._routing_closed = True
+            for q in self._queues:
+                q.put_many([_STOP])
         for thread in self._threads:
             thread.join(timeout=10.0)
         with self._conn_lock:
@@ -413,8 +465,7 @@ class EngineServer:
                 self._next_conn_id += 1
                 conn = _Connection(sock, f"{addr[0]}:{addr[1]}", conn_id)
                 self._conns[conn_id] = conn
-            with self._stats_lock:
-                self._counters["connections_opened"] += 1
+            self._count("connections_opened")
             reader = threading.Thread(
                 target=self._reader_loop, args=(conn,), name=f"repro-read-{conn_id}"
             )
@@ -426,6 +477,15 @@ class EngineServer:
             pass
 
     def _reader_loop(self, conn: _Connection) -> None:
+        try:
+            self._read_and_route(conn)
+        finally:  # whatever ended the loop, the connection goes with it
+            conn.close()
+            with self._conn_lock:
+                self._conns.pop(conn.conn_id, None)
+            self._count("connections_closed")
+
+    def _read_and_route(self, conn: _Connection) -> None:
         decoder = FrameDecoder()
         sock = conn.sock
         sock.settimeout(0.2)
@@ -435,9 +495,11 @@ class EngineServer:
             except socket.timeout:
                 continue
             except OSError:
-                break
+                return
             if not data:  # orderly EOF
-                break
+                return
+            frames: list[Frame] = []
+            error: ProtocolError | None = None
             try:
                 decoder.feed(data)
                 for frame in decoder.drain():
@@ -445,93 +507,74 @@ class EngineServer:
                         raise ProtocolError(
                             "bad_kind", f"frame kind {frame.kind:#x} is not a request"
                         )
-                    self._intake.put(("frame", conn, frame))
+                    frames.append(frame)
             except ProtocolError as exc:
+                error = exc
+            if frames:
+                self._route_frames(conn, frames)
+            if error is not None:
                 # Structured goodbye, then hang up: a desynchronized
                 # stream has no trustworthy resync point.
-                with self._stats_lock:
-                    self._counters["protocol_errors"] += 1
-                conn.send_frame(
-                    encode_frame(
-                        Resp.ERR, 0, error_payload(ErrCode.BAD_REQUEST, str(exc))
-                    )
+                self._count("protocol_errors")
+                conn.send_frames(
+                    [encode_frame(
+                        Resp.ERR, 0, error_payload(ErrCode.BAD_REQUEST, str(error))
+                    )]
                 )
-                break
-        conn.close()
-        self._intake.put(("closed", conn))
+                return
 
     # ------------------------------------------------------------------
-    # master route loop
+    # routing (reader threads, under the route lock)
     # ------------------------------------------------------------------
-    def _master_loop(self) -> None:
-        while True:
-            item = self._intake.get()
-            tag = item[0]
-            if tag == "stop":
-                break
-            if tag == "closed":
-                conn = item[1]
-                with self._conn_lock:
-                    self._conns.pop(conn.conn_id, None)
-                with self._stats_lock:
-                    self._counters["connections_closed"] += 1
-                continue
-            _, conn, frame = item
-            if not conn.alive:
-                continue
+    def _route_frames(self, conn: _Connection, frames: list[Frame]) -> None:
+        """Route one ``recv``'s requests: hand each worker its jobs in one
+        queue operation, then send the router's own answers in one send."""
+        self._count("route_batches")
+        with self._route_lock:
             try:
-                self._route(conn, frame)
-            except _BadRequest as exc:
-                with self._stats_lock:
-                    self._counters["bad_requests"] += 1
-                self._respond_err(conn, frame, ErrCode.BAD_REQUEST, str(exc))
-        # Drain: executors finish everything already accepted (their
-        # queues), so every acknowledged write was applied; anything
-        # still in the intake gets a structured shutdown error.
-        for q in self._queues:
-            q.put(_STOP)
-        while True:
-            try:
-                item = self._intake.get_nowait()
-            except queue.Empty:
-                break
-            if item[0] == "frame":
-                _, conn, frame = item
-                self._respond_err(
-                    conn, frame, ErrCode.SHUTTING_DOWN, "server is stopping"
-                )
+                for frame in frames:
+                    if self._routing_closed:
+                        self._outbox.append(
+                            _reply_err(frame, ErrCode.SHUTTING_DOWN, "server is stopping")
+                        )
+                        continue
+                    try:
+                        self._route(conn, frame)
+                    except _BadRequest as exc:
+                        self._count("bad_requests")
+                        self._outbox.append(
+                            _reply_err(frame, ErrCode.BAD_REQUEST, str(exc))
+                        )
+            finally:
+                self._hand_over()
+                replies, self._outbox = self._outbox, []
+        if replies:
+            self._send(conn, replies)
 
     def _route(self, conn: _Connection, frame: Frame) -> None:
         kind = frame.kind
         payload = frame.payload
         if kind == Op.PING:
             self._count_op("ping")
-            self._respond_ok(conn, frame, self._server_info(), 0.0)
+            self._outbox.append(_reply_ok(frame, self._server_info(), 0.0))
             return
 
         # --- pipeline-abort suffix: one shed response sheds the tail ---
-        with conn.state_lock:
-            if conn.shed_generation == frame.generation:
-                shed = True
-            else:
-                conn.shed_generation = None
-                shed = False
-        if shed:
-            with self._stats_lock:
-                self._counters["pipeline_aborts"] += 1
-            self._respond_err(
-                conn,
-                frame,
-                ErrCode.PIPELINE_ABORT,
-                "an earlier request of this pipeline generation was shed",
-                retry_after_ms=self._adm.retry_after_ms,
+        if conn.shed_generation == frame.generation:
+            self._count("pipeline_aborts")
+            self._outbox.append(
+                _reply_err(
+                    frame,
+                    ErrCode.PIPELINE_ABORT,
+                    "an earlier request of this pipeline generation was shed",
+                    retry_after_ms=self._adm.retry_after_ms,
+                )
             )
             return
+        conn.shed_generation = None
 
         # --- per-connection in-flight cap ---
-        with conn.state_lock:
-            over = conn.inflight >= self._adm.max_inflight_per_conn
-        if over:
+        if conn.inflight >= self._adm.max_inflight_per_conn:
             self._shed(conn, frame, "shed_inflight", "connection in-flight cap reached")
             return
 
@@ -625,7 +668,7 @@ class EngineServer:
                 raise _BadRequest(f"unroutable key {op[1]!r}: {exc}") from None
         self._count_op("batch")
         if not groups:
-            self._respond_ok(conn, frame, 0, 0.0)
+            self._outbox.append(_reply_ok(frame, 0, 0.0))
             return
         for shard, ops in groups.items():
             self._note_write(shard, len(ops))
@@ -639,15 +682,11 @@ class EngineServer:
             ((shard, ops),) = groups.items()
             self._dispatch(_Job(conn, frame, shard, ops=ops))
             return
-        with self._stats_lock:
-            self._counters["scatter_batches"] += 1
-        # One logical request: account it once, then enqueue the parts
+        self._count("scatter_batches")
+        # One logical request: account it once, then stage the parts
         # (accounting per part would leak conn.inflight, which only
         # decrements when the aggregated response goes out).
-        with conn.state_lock:
-            conn.inflight += 1
-        with self._stats_lock:
-            self._counters["accepted"] += 1
+        self._accept(conn)
         scatter = _Scatter(len(groups))
         for shard, ops in groups.items():
             self._dispatch(
@@ -673,8 +712,7 @@ class EngineServer:
                     if writes / self._window_total >= self._adm.hot_share:
                         hot.add(index)
             if hot:
-                with self._stats_lock:
-                    self._counters["hot_windows"] += 1
+                self._count("hot_windows")
             self._hot_shards = hot
             self._window_writes.clear()
             self._window_total = 0
@@ -682,9 +720,10 @@ class EngineServer:
     def _admit(
         self, conn: _Connection, frame: Frame, shard: int, is_write: bool
     ) -> bool:
-        """True to enqueue; False after responding with a shed error."""
+        """True to enqueue; False after answering with a shed error."""
         adm = self._adm
-        depth = self._queues[self._owners[shard]].qsize()
+        worker = self._owners[shard]
+        depth = len(self._queues[worker]) + len(self._staged[worker])
         cap = adm.max_queue_depth
         if is_write and shard in self._hot_shards:
             cap = max(1, cap // adm.hot_tighten)
@@ -719,78 +758,64 @@ class EngineServer:
     def _shed(
         self, conn: _Connection, frame: Frame, counter: str, reason: str
     ) -> None:
-        with self._stats_lock:
-            self._counters[counter] += 1
-        with conn.state_lock:
-            conn.shed_generation = frame.generation
-        self._respond_err(
-            conn,
-            frame,
-            ErrCode.RETRY_AFTER,
-            reason,
-            retry_after_ms=self._adm.retry_after_ms,
+        self._count(counter)
+        conn.shed_generation = frame.generation
+        self._outbox.append(
+            _reply_err(
+                frame,
+                ErrCode.RETRY_AFTER,
+                reason,
+                retry_after_ms=self._adm.retry_after_ms,
+            )
         )
 
     # -- dispatch and barriers -----------------------------------------
-    def _dispatch(self, job: _Job, account: bool = True) -> None:
-        if account:
-            with job.conn.state_lock:
-                job.conn.inflight += 1
-            with self._stats_lock:
-                self._counters["accepted"] += 1
-        with self._idle:
-            self._pending += 1
-        self._queues[self._owners[job.shard]].put(job)
-
-    def _run_barrier(self, conn: _Connection, frame: Frame) -> None:
-        """Execute a global op on the master with every worker idle."""
-        with self._stats_lock:
-            self._counters["barrier_ops"] += 1
-            self._counters["accepted"] += 1
+    def _accept(self, conn: _Connection) -> None:
         with conn.state_lock:
             conn.inflight += 1
+        self._count("accepted")
+
+    def _dispatch(self, job: _Job, account: bool = True) -> None:
+        if account:
+            self._accept(job.conn)
+        self._staged[self._owners[job.shard]].append(job)
+
+    def _hand_over(self) -> None:
+        """Give every worker the jobs staged for it, one queue operation
+        per worker."""
+        staged = [(w, jobs) for w, jobs in enumerate(self._staged) if jobs]
+        if not staged:
+            return
+        with self._idle:
+            self._pending += sum(len(jobs) for _, jobs in staged)
+        for w, jobs in staged:
+            self._staged[w] = []
+            self._queues[w].put_many(jobs)
+
+    def _run_barrier(self, conn: _Connection, frame: Frame) -> None:
+        """Execute a global op on this router with every worker idle."""
+        self._count("barrier_ops")
+        self._accept(conn)
+        self._hand_over()  # what this batch routed before it runs first
         with self._idle:
             self._idle.wait_for(lambda: self._pending == 0)
-            # Every dispatched job has finished and the master (the only
-            # dispatcher) is right here, so nothing can reach a worker
-            # until this op finishes.
-            self._execute(frame, shard=None, conn=conn)
+        # Every handed-over job has finished and this router holds the
+        # route lock, so nothing can reach a worker until this op finishes.
+        self._outbox.append(self._execute(frame, shard=None))
+        self._finish(conn, 1)
 
     # -- responses ------------------------------------------------------
-    def _respond_ok(
-        self, conn: _Connection, frame: Frame, result: Any, cost_us: float
-    ) -> None:
-        ok = conn.send_frame(
-            encode_frame(
-                Resp.OK, frame.request_id, (result, cost_us), frame.generation
-            )
-        )
-        if not ok:
-            with self._stats_lock:
-                self._counters["responses_failed"] += 1
-
-    def _respond_err(
-        self,
-        conn: _Connection,
-        frame: Frame,
-        code: str,
-        message: str,
-        retry_after_ms: float | None = None,
-    ) -> None:
-        conn.send_frame(
-            encode_frame(
-                Resp.ERR,
-                frame.request_id,
-                error_payload(code, message, retry_after_ms),
-                frame.generation,
-            )
-        )
-
-    def _finish(self, conn: _Connection) -> None:
-        with conn.state_lock:
-            conn.inflight -= 1
+    def _send(self, conn: _Connection, frames: list[bytes]) -> None:
+        ok = conn.send_frames(frames)
         with self._stats_lock:
-            self._counters["completed"] += 1
+            self._counters["response_sends"] += 1
+            if not ok:
+                self._counters["responses_failed"] += len(frames)
+
+    def _finish(self, conn: _Connection, requests: int) -> None:
+        with conn.state_lock:
+            conn.inflight -= requests
+        self._count("completed", requests)
 
     # ------------------------------------------------------------------
     # executors
@@ -798,25 +823,39 @@ class EngineServer:
     def _executor_loop(self, worker: int) -> None:
         q = self._queues[worker]
         while True:
-            job = q.get()
-            if job is _STOP:
-                break
+            jobs = q.take_all()
+            # stop() queues the marker after routing closed, so it is last.
+            stop = jobs[-1] is _STOP
+            if stop:
+                jobs.pop()
             try:
-                self._execute(job.frame, job.shard, job.conn, job)
+                replies: dict[_Connection, list[bytes]] = {}
+                for job in jobs:
+                    reply = self._execute(job.frame, job.shard, job)
+                    if reply is not None:
+                        replies.setdefault(job.conn, []).append(reply)
+                for conn, frames in replies.items():
+                    # Lowered before the send: a client refilling its
+                    # window on these answers must not meet a stale cap.
+                    self._finish(conn, len(frames))
+                    self._send(conn, frames)
             finally:
+                q.done()
                 with self._idle:
-                    self._pending -= 1
+                    self._pending -= len(jobs)
                     self._idle.notify_all()
+            if stop:
+                break
 
     def _execute(
         self,
         frame: Frame,
         shard: int | None,
-        conn: _Connection,
         job: _Job | None = None,
-    ) -> None:
+    ) -> bytes | None:
         """Run one request against its shard (or the whole engine) and
-        respond.  Writes are acknowledged only after this returns from
+        return its response frame (None for a scatter part that is not
+        the last).  Writes are acknowledged only after this returns from
         the tree -- a crash before the response loses nothing acked."""
         target = self.engine if shard is None else self._shards[shard]
         disk = target.disk.stats if shard is not None else self.engine.disk.stats
@@ -839,28 +878,17 @@ class EngineServer:
                 error[1] if error else None,
             )
             if not last:
-                return
+                return None
             if job.scatter.failed is not None:
-                with self._stats_lock:
-                    self._counters["engine_errors"] += 1
-                self._respond_err(
-                    conn, frame, ErrCode.ENGINE_ERROR, job.scatter.failed
-                )
-            else:
-                self._respond_ok(conn, frame, job.scatter.applied, job.scatter.cost_us)
-            self._finish(conn)
-            return
-
+                self._count("engine_errors")
+                return _reply_err(frame, ErrCode.ENGINE_ERROR, job.scatter.failed)
+            return _reply_ok(frame, job.scatter.applied, job.scatter.cost_us)
         if error is not None:
-            code = ErrCode.BAD_REQUEST if error[0] == "bad" else ErrCode.ENGINE_ERROR
-            with self._stats_lock:
-                self._counters[
-                    "bad_requests" if error[0] == "bad" else "engine_errors"
-                ] += 1
-            self._respond_err(conn, frame, code, error[1])
-        else:
-            self._respond_ok(conn, frame, result, cost_us)
-        self._finish(conn)
+            bad = error[0] == "bad"
+            self._count("bad_requests" if bad else "engine_errors")
+            code = ErrCode.BAD_REQUEST if bad else ErrCode.ENGINE_ERROR
+            return _reply_err(frame, code, error[1])
+        return _reply_ok(frame, result, cost_us)
 
     def _apply(self, frame: Frame, target: Any, job: _Job | None) -> Any:
         kind = frame.kind
@@ -916,6 +944,10 @@ class EngineServer:
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
+    def _count(self, name: str, by: int = 1) -> None:
+        with self._stats_lock:
+            self._counters[name] += by
+
     def _count_op(self, name: str) -> None:
         with self._stats_lock:
             self._op_counts[name] = self._op_counts.get(name, 0) + 1
@@ -950,7 +982,7 @@ class EngineServer:
             "workers": self._workers,
             "shards": len(self._shards),
             "connections_open": open_conns,
-            "queue_depths": [q.qsize() for q in self._queues],
+            "queue_depths": [len(q) for q in self._queues],
             "hot_shards": sorted(self._hot_shards),
             "admission": {
                 "max_inflight_per_conn": self._adm.max_inflight_per_conn,
@@ -968,6 +1000,21 @@ class EngineServer:
         import dataclasses
 
         return dataclasses.replace(self.engine.stats(), server=self.server_report())
+
+
+def _reply_ok(frame: Frame, result: Any, cost_us: float) -> bytes:
+    return encode_frame(Resp.OK, frame.request_id, (result, cost_us), frame.generation)
+
+
+def _reply_err(
+    frame: Frame, code: str, message: str, retry_after_ms: float | None = None
+) -> bytes:
+    return encode_frame(
+        Resp.ERR,
+        frame.request_id,
+        error_payload(code, message, retry_after_ms),
+        frame.generation,
+    )
 
 
 def wait_until_listening(

@@ -25,6 +25,7 @@ import socket
 import struct
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -50,7 +51,9 @@ from repro.server import (
     encode_frame,
     encode_value,
 )
-from repro.server.protocol import HEADER_AFTER_LENGTH
+from repro.server.client import ClientConnection
+from repro.server.core import _STOP, _Connection, _WorkQueue
+from repro.server.protocol import HEADER_AFTER_LENGTH, Frame
 from repro.shard.engine import ShardedEngine
 from repro.workload.adversarial import build_adversary
 from repro.workload.generator import generate_operations
@@ -463,6 +466,196 @@ class TestAdmission:
         report = server.server_report()
         assert report["shed_inflight"] > 0
         assert report["pipeline_aborts"] > 0
+
+
+# ---------------------------------------------------------------------------
+# batching: readers route, executors and clients send in batches
+# ---------------------------------------------------------------------------
+class _RecordingSocket:
+    """Stands in for a client socket: keeps every ``sendall``."""
+
+    def __init__(self) -> None:
+        self.sent: list[bytes] = []
+
+    def sendall(self, data: bytes) -> None:
+        self.sent.append(bytes(data))
+
+    def shutdown(self, how: int) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+
+def decode_all(data: bytes) -> list[Frame]:
+    decoder = FrameDecoder()
+    decoder.feed(data)
+    return list(decoder.drain())
+
+
+def read_responses(sock: socket.socket, count: int) -> dict[int, Frame]:
+    decoder = FrameDecoder()
+    frames: dict[int, Frame] = {}
+    while len(frames) < count:
+        data = sock.recv(65536)
+        assert data, "server hung up early"
+        decoder.feed(data)
+        frames.update((f.request_id, f) for f in decoder.drain())
+    return frames
+
+
+class TestBatching:
+    def test_executor_answers_a_drained_batch_in_one_send(self, tmp_path):
+        """One routed batch reaches the worker in one hand-over; the
+        worker executes it in order and answers the connection once."""
+        engine = tiny_engine(tmp_path / "store", 1)
+        server = EngineServer(engine, ServerConfig(port=0))  # no threads
+        sock = _RecordingSocket()
+        conn = _Connection(sock, "test", 0)
+        requests = [Frame(Op.PUT, k, 0, (k, f"v{k}", None)) for k in range(1, 21)]
+        requests.append(Frame(Op.PUT, 21, 0, (5, "again", None)))
+        requests.append(Frame(Op.GET, 22, 0, (5,)))
+        try:
+            server._route_frames(conn, requests)
+            assert sock.sent == []  # every request went to the executor
+            assert len(server._queues[0]) == len(requests)
+            server._queues[0].put_many([_STOP])
+            server._executor_loop(0)  # runs the batch, then meets the marker
+            assert len(sock.sent) == 1
+            replies = decode_all(sock.sent[0])
+            assert [f.request_id for f in replies] == list(range(1, 23))
+            assert all(f.kind == Resp.OK for f in replies)
+            assert replies[-1].payload[0] == (True, "again")
+            report = server.server_report()
+            assert report["route_batches"] == 1
+            assert report["response_sends"] == 1
+            assert report["accepted"] == report["completed"] == len(requests)
+            assert conn.inflight == 0
+            assert len(server._queues[0]) == 0
+        finally:
+            engine.close()
+
+    def test_router_answers_in_one_send_and_refuses_after_stop(self, tmp_path):
+        engine = tiny_engine(tmp_path / "store", 1)
+        server = EngineServer(engine, ServerConfig(port=0))
+        sock = _RecordingSocket()
+        conn = _Connection(sock, "test", 0)
+        try:
+            server._route_frames(conn, [Frame(Op.PING, 1, 0, None),
+                                        Frame(Op.GET, 2, 0, "not a tuple")])
+            server._routing_closed = True  # what stop() sets
+            server._route_frames(conn, [Frame(Op.PUT, 3, 0, (1, "v", None))])
+            assert len(sock.sent) == 2
+            ping, bad = decode_all(sock.sent[0])
+            assert ping.kind == Resp.OK and ping.payload[0]["shards"] == 1
+            assert bad.payload["code"] == ErrCode.BAD_REQUEST
+            (late,) = decode_all(sock.sent[1])
+            assert late.payload["code"] == ErrCode.SHUTTING_DOWN
+            assert len(server._queues[0]) == 0  # nothing reached a worker
+        finally:
+            engine.close()
+
+    def test_work_queue_depth_counts_the_batch_in_progress(self):
+        q = _WorkQueue()
+        q.put_many(["a", "b"])
+        q.put_many(["c"])
+        assert len(q) == 3
+        assert q.take_all() == ["a", "b", "c"]
+        assert len(q) == 3  # taken, not yet finished: admission still sees it
+        q.put_many(["d"])
+        assert len(q) == 4
+        q.done()
+        assert len(q) == 1
+
+    def test_barrier_in_a_batch_sees_what_was_routed_before_it(self, served):
+        """Writes to two shards, a cross-shard scan and a later write all
+        in one ``sendall``: the scan runs after the writes before it and
+        before the write after it."""
+        server, engine = served
+        wire = b"".join([
+            encode_frame(Op.PUT, 1, (10, "a", None)),
+            encode_frame(Op.PUT, 2, (59_000, "b", None)),
+            encode_frame(Op.SCAN, 3, (0, 59_999, None, False)),
+            encode_frame(Op.PUT, 4, (10, "c", None)),
+            encode_frame(Op.GET, 5, (10,)),
+        ])
+        raw = socket.create_connection(("127.0.0.1", server.port), timeout=10)
+        try:
+            raw.sendall(wire)
+            replies = read_responses(raw, 5)
+        finally:
+            raw.close()
+        assert all(f.kind == Resp.OK for f in replies.values())
+        assert replies[3].payload[0] == [(10, "a"), (59_000, "b")]
+        assert replies[5].payload[0] == (True, "c")
+        assert server.server_report()["barrier_ops"] == 1
+
+    def test_concurrent_readers_and_barriers_lose_no_accounting(self, served):
+        """Eight pipelining connections and cross-shard scans on more
+        threads than cores, switching often: every request is answered,
+        every acknowledged write is stored, and the in-flight, pending
+        and queue-depth counts all return to zero."""
+        server, engine = served
+        errors: list[BaseException] = []
+
+        def writer(lane: int) -> None:
+            try:
+                keys = range(lane * 7_000, lane * 7_000 + 6_000, 20)
+                with EngineClient(server.address) as client:
+                    for start in range(0, len(keys), 100):
+                        chunk = keys[start:start + 100]
+                        results = client.pipeline(
+                            [(Op.PUT, (k, f"{lane}:{k}", None)) for k in chunk], window=32
+                        )
+                        assert len(results) == len(chunk)
+                        client.scan(0, 59_999, limit=5)  # a barrier between chunks
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=writer, args=(lane,)) for lane in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for lane in range(8):
+            for k in range(lane * 7_000, lane * 7_000 + 6_000, 20):
+                assert engine.get(k) == f"{lane}:{k}"
+        report = server.server_report()
+        assert report["accepted"] == report["completed"]
+        assert report["queue_depths"] == [0, 0, 0, 0]
+        assert server._pending == 0
+        assert all(conn.inflight == 0 for conn in server._conns.values())
+
+    def test_client_refills_its_window_in_one_send(self, served, monkeypatch):
+        server, _ = served
+        sends: list[list[Frame]] = []
+        original = ClientConnection._send
+
+        def recording_send(self, data):
+            sends.append(decode_all(data))
+            original(self, data)
+
+        monkeypatch.setattr(ClientConnection, "_send", recording_send)
+        with EngineClient(server.address) as client:
+            client.put_many((k, f"v{k}") for k in range(0, 60_000, 500))
+            requests = [(Op.GET, (k,)) for k in range(0, 60_000, 500)]
+            sends.clear()
+            results = client.pipeline(requests, window=16)
+        assert [r.result for r in results] == [(True, f"v{k}") for k in range(0, 60_000, 500)]
+        assert len(sends[0]) == 16  # the first fill is one send
+        assert all(1 <= len(frames) <= 16 for frames in sends)
+        assert sum(len(frames) for frames in sends) == len(requests)
+        # Every answer a recv delivers is handled before the next refill,
+        # and a refill is one send, so there is never more than one send
+        # per response.
+        assert len(sends) <= len(requests) - 15
 
 
 # ---------------------------------------------------------------------------
