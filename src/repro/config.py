@@ -171,11 +171,13 @@ class LSMConfig:
     #: equal-marginal-benefit spacing, floored at zero.
     bloom_allocation: str = "uniform"
     #: With the KiWi weave (h > 1), a point lookup must probe up to ``h``
-    #: candidate pages per tile.  Enabling per-page filters adds a small
-    #: Bloom filter to every page of a woven file so absent candidates are
+    #: candidate pages per tile.  Page filters give every woven tile one
+    #: bit-sliced Bloom filter over its pages (built in the same pass as
+    #: the file filter, at the same bits/key) so absent candidates are
     #: skipped without I/O -- the paper's mitigation for the weave's
-    #: point-read penalty, at roughly double the filter memory.
-    kiwi_page_filters: bool = False
+    #: point-read penalty, at roughly double the filter memory.  No effect
+    #: at h == 1.
+    kiwi_page_filters: bool = True
     #: Key the bloom digests with a secret per-tree random salt (generated
     #: at create, persisted in the manifest).  Off by default: unsalted
     #: trees keep the historical deterministic digests, so every archived

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 
 from repro.errors import AcheronError
 from repro.lsm.page import DeleteTile, Page
-from repro.lsm.run import Run, SSTableFile, build_files
+from repro.lsm.run import Run, SSTableFile, build_files, build_filters
 from repro.storage.disk import CATEGORY_SECONDARY_DELETE, IOStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -119,7 +119,7 @@ def kiwi_range_delete(tree: "LSMTree", lo: int, hi: int) -> SecondaryDeleteRepor
             changed = False
             for file in run.files:
                 report.files_examined += 1
-                replacement = _delete_from_file(tree, file, lo, hi, report)
+                replacement = _delete_from_file(tree, file, level.index, lo, hi, report)
                 if replacement is file:
                     new_files.append(file)
                     continue
@@ -145,23 +145,26 @@ def kiwi_range_delete(tree: "LSMTree", lo: int, hi: int) -> SecondaryDeleteRepor
 def _delete_from_file(
     tree: "LSMTree",
     file: SSTableFile,
+    level: int,
     lo: int,
     hi: int,
     report: SecondaryDeleteReport,
 ) -> SSTableFile | None:
-    """Apply the page classifier to one file.
+    """Apply the page classifier to one file (installed at ``level``).
 
     Returns the same object when untouched, a rebuilt file, or None when
     every page vanished.
     """
     touched = False
     new_tiles: list[DeleteTile] = []
+    rebuilt: list[DeleteTile] = []
     for tile in file.tiles:
         if not (lo <= tile.max_delete_key and tile.min_delete_key <= hi):
             new_tiles.append(tile)
             report.pages_kept += len(tile)
             continue
         new_pages: list[Page] = []
+        tile_touched = False
         for page in tile.pages:
             if not page.overlaps_delete_range(lo, hi):
                 new_pages.append(page)
@@ -169,7 +172,7 @@ def _delete_from_file(
                 continue
             if page.covered_by_delete_range(lo, hi) and page.tombstone_count == 0:
                 # The free case: drop the whole page without reading it.
-                touched = True
+                tile_touched = True
                 report.pages_dropped += 1
                 report.entries_deleted += len(page)
                 continue
@@ -184,29 +187,30 @@ def _delete_from_file(
                 new_pages.append(page)
                 report.pages_kept += 1
                 continue
-            touched = True
+            tile_touched = True
             report.entries_deleted += deleted_here
             if survivors:
                 tree.disk.write_pages(1, CATEGORY_SECONDARY_DELETE)
                 report.pages_rewritten += 1
-                rebuilt = Page(survivors)
-                if page.bloom is not None:
-                    from repro.filters.bloom import BloomFilter
-
-                    rebuilt.bloom = BloomFilter.build(
-                        (e.key for e in survivors),
-                        tree.config.bloom_bits_per_key,
-                        salt=tree.bloom_salt,
-                    )
-                new_pages.append(rebuilt)
+                new_pages.append(Page(survivors))
             else:
                 report.pages_dropped += 1
+        if not tile_touched:
+            new_tiles.append(tile)
+            continue
+        touched = True
         if new_pages:
-            new_tiles.append(DeleteTile(new_pages))
+            tile = DeleteTile(new_pages)
+            new_tiles.append(tile)
+            rebuilt.append(tile)
     if not touched:
         return file
     if not new_tiles:
         return None
+    # A changed tile's page filter is stale (pages renumbered, entries
+    # gone): rebuild it at this level's budget.  The file filter is
+    # inherited -- deleted keys in it cost false positives, never misses.
+    build_filters(rebuilt, tree.config, level, tree.bloom_salt, file_filter=False)
     return SSTableFile.from_tiles(
         tree.file_ids(), new_tiles, file.bloom, file.created_at
     )

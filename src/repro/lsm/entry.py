@@ -53,18 +53,19 @@ class Entry:
     entry after creation.
     """
 
-    #: ``bloom_pair`` caches the entry's Bloom digest pair (a pure
-    #: function of ``key``) the first time a file build computes it.
-    #: Write amplification re-files every entry ~W times, and the cache
-    #: turns all but the first build's digest into an attribute read.
-    #: Left unset until then (reading it raises ``AttributeError``).
+    #: ``digest`` caches the entry's unsalted 16-byte Bloom digest (a
+    #: pure function of ``key``; see :func:`repro.filters.bloom.key_digest`)
+    #: the first time a file build computes it.  Write amplification
+    #: re-files every entry ~W times, and the cache turns all but the
+    #: first build's digest into an attribute read.  Left unset until
+    #: then (reading it raises ``AttributeError``).
     #:
     #: ``blob`` caches the entry's serialised bytes (a pure function of
     #: the six fields above) the first time a durable writer encodes it
     #: -- see :func:`repro.storage.codec.entry_blob`.  Unset in in-memory
     #: engines, which never encode; not part of equality or hashing.
     __slots__ = (
-        "key", "seqno", "kind", "value", "delete_key", "write_time", "bloom_pair", "blob",
+        "key", "seqno", "kind", "value", "delete_key", "write_time", "digest", "blob",
     )
 
     def __init__(

@@ -15,8 +15,9 @@ That weave is the whole trick: a range delete on the delete key can drop
 every page whose delete-key range falls inside the predicate *without
 reading it*, while sort-key point lookups still land on one tile via fence
 pointers (and then probe up to ``h`` candidate pages -- the read penalty the
-F7 experiment quantifies).  With ``h == 1`` the layout collapses to the
-classical sort-key-only file used by the baselines.
+F7 experiment quantifies, and the tile's bit-sliced page filter prunes).
+With ``h == 1`` the layout collapses to the classical sort-key-only file
+used by the baselines.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ class Page:
         "max_delete_key",
         "tombstone_count",
         "oldest_tombstone_time",
-        "bloom",
         "_keys",
     )
 
@@ -72,9 +72,6 @@ class Page:
         #: ``write_time`` of this page's oldest tombstone (None when the
         #: page holds no tombstones) -- the seed of FADE's file-age field.
         self.oldest_tombstone_time = oldest
-        #: Optional per-page Bloom filter (KiWi point-read mitigation);
-        #: attached by the file builder when ``kiwi_page_filters`` is on.
-        self.bloom = None
         #: Lazily built sort-key list (see :attr:`keys`).
         self._keys = None
 
@@ -136,6 +133,7 @@ class DeleteTile:
         "max_key",
         "min_delete_key",
         "max_delete_key",
+        "filter",
         "_sorted",
         "_sorted_keys",
     )
@@ -148,6 +146,11 @@ class DeleteTile:
         self.max_key = max(p.max_key for p in pages)
         self.min_delete_key = min(p.min_delete_key for p in pages)
         self.max_delete_key = max(p.max_delete_key for p in pages)
+        #: The tile's bit-sliced page filter
+        #: (:class:`repro.filters.bloom.TileFilter`), attached by the file
+        #: builder when ``kiwi_page_filters`` is on; None means every page
+        #: whose key range covers a key is a candidate for it.
+        self.filter = None
         self._sorted = None
         self._sorted_keys = None
 
@@ -161,16 +164,6 @@ class DeleteTile:
     @property
     def tombstone_count(self) -> int:
         return sum(p.tombstone_count for p in self.pages)
-
-    def candidate_page_indexes(self, key: Any) -> list[int]:
-        """Pages whose sort-key range may contain ``key``.
-
-        Within a tile the pages are delete-key-partitioned, so their
-        sort-key ranges overlap arbitrarily: a point probe may have to
-        check up to ``h`` pages.  This is KiWi's documented point-read
-        cost (swept in experiment F7).
-        """
-        return [i for i, page in enumerate(self.pages) if page.covers_key(key)]
 
     def entries_sorted(self) -> list[Entry]:
         """All entries of the tile in ascending sort-key order, as a list.

@@ -21,7 +21,13 @@ from bisect import bisect_left, bisect_right
 from typing import Any, Iterator
 
 from repro.config import LSMConfig
-from repro.filters.bloom import BloomFilter, _key_bytes, hash_pair, key_hash_pair
+from repro.filters.bloom import (
+    BloomFilter,
+    build_tile_filters,
+    hash_pairs,
+    key_digest,
+    key_hash_pair,
+)
 from repro.filters.fence import FenceIndex
 from repro.lsm.entry import Entry
 from repro.lsm.page import DeleteTile, Page, weave_tile
@@ -193,7 +199,7 @@ class SSTableFile:
         ``level`` is where the file will be installed; under the Monkey
         allocation it determines the Bloom filter's memory budget.
         ``salt`` keys the filter digests (salted trees pass their per-tree
-        salt; see :func:`repro.filters.bloom.hash_pair`).
+        salt; see :func:`repro.filters.bloom.key_digest`).
         """
         if not entries:
             raise ValueError("cannot build an empty file")
@@ -206,53 +212,7 @@ class SSTableFile:
             )
             for i in range(0, len(entries), tile_span)
         ]
-        bits = config.bloom_bits_for_level(level)
-        want_page_filters = config.kiwi_page_filters and config.pages_per_tile > 1
-        if bits <= 0:
-            bloom = BloomFilter(len(entries), bits, salt=salt)
-            return cls(file_id, tiles, bloom, created_at)
-        if salt is not None:
-            # Salted digests are never cached on the Entry: bloom_pair is
-            # salt-unaware, and entries migrate between trees (shard
-            # splits) whose salts differ -- a stale cached pair would be a
-            # silent false negative.  The per-salt memo in key_hash_pair
-            # amortizes the recompute instead.
-            try:
-                pairs = [key_hash_pair(e.key, salt) for e in entries]
-            except TypeError:  # unhashable key: hash without the memo
-                pairs = [hash_pair(_key_bytes(e.key), salt) for e in entries]
-        else:
-            try:
-                # Fast path: every entry has been through a build before and
-                # carries its cached digest pair (see Entry.bloom_pair).
-                pairs = [e.bloom_pair for e in entries]
-            except AttributeError:
-                pairs = []
-                for e in entries:
-                    try:
-                        pair = e.bloom_pair
-                    except AttributeError:
-                        try:
-                            pair = key_hash_pair(e.key)
-                        except TypeError:  # unhashable key: hash without the memo
-                            pair = hash_pair(_key_bytes(e.key))
-                        e.bloom_pair = pair
-                    pairs.append(pair)
-        bloom = BloomFilter.from_hash_pairs(pairs, bits, salt=salt)
-        if want_page_filters:
-            # The digests feed both the file-level filter and the per-page
-            # (KiWi) filters.  The weave reorders the same Entry objects
-            # into pages, so identity is a safe join key even for
-            # non-hashable key types.
-            pair_of = {id(e): p for e, p in zip(entries, pairs)}
-            for tile in tiles:
-                if len(tile.pages) <= 1:
-                    continue  # a single candidate page gains nothing
-                for page in tile.pages:
-                    page.bloom = BloomFilter.from_hash_pairs(
-                        [pair_of[id(e)] for e in page.entries], bits, salt=salt
-                    )
-        return cls(file_id, tiles, bloom, created_at)
+        return cls(file_id, tiles, build_filters(tiles, config, level, salt), created_at)
 
     @classmethod
     def from_tiles(
@@ -325,16 +285,20 @@ class SSTableFile:
         reader: PageReader,
         pinned: bool = False,
         tile_idx: int | None = None,
+        hashed: tuple[int, int] | None = None,
     ) -> Entry | None:
         """Point lookup: fence -> candidate pages -> binary search.
 
         The file-level Bloom filter is the *caller's* job (the run
-        consults it before descending); per-page filters, when present,
-        prune candidate pages here before any I/O.  A single-page tile
-        (the classical ``h == 1`` layout) skips the candidate enumeration:
-        the tile fence already proved the key can only live in that page.
+        consults it before descending).  In a woven tile the tile filter
+        names the candidate pages before any I/O, and each candidate is
+        read only if its key range covers the key.  A single-page tile
+        (the classical ``h == 1`` layout) skips the candidate walk: the
+        tile fence already proved the key can only live in that page.
         ``tile_idx`` lets a caller that already located the tile (the
-        tree's cache-first probe) skip the second fence search.
+        tree's cache-first probe) skip the second fence search, and
+        ``hashed`` lets it pass the :func:`key_hash_pair` it probed the
+        file filter with.
         """
         if tile_idx is None:
             tile_idx = self.tile_fence.locate(key)
@@ -342,46 +306,41 @@ class SSTableFile:
             return None
         tile = self.tiles[tile_idx]
         pages = tile.pages
-        if not reader.cache.hardened:
-            if len(pages) == 1:
+        hardened = reader.cache.hardened
+        if len(pages) == 1:
+            if not hardened:
                 return reader.read_page(self, tile_idx, 0, pinned).get(key)
-            for page_idx, candidate in enumerate(pages):
-                if not candidate.covers_key(key):
-                    continue
-                if candidate.bloom is not None and not candidate.bloom.might_contain(key):
-                    continue
-                page = reader.read_page(self, tile_idx, page_idx, pinned)
-                entry = page.get(key)
-                if entry is not None:
-                    return entry
-            return None
+            candidates = 1
+        elif tile.filter is None:
+            candidates = (1 << len(pages)) - 1
+        else:
+            if hashed is None:
+                hashed = key_hash_pair(key, self.bloom.salt)
+            candidates = tile.filter.candidates(hashed[0], hashed[1])
         # Hardened cache: track fresh admissions so that when the lookup
         # turns out negative (a filter false positive paid page I/O for
         # nothing) the pages admitted on its behalf can be handed to the
         # negative-lookup guard instead of displacing the hot set.
         admitted: list[int] = []
         entry = None
-        if len(pages) == 1:
-            page, flat = reader.read_page_admitting(self, tile_idx, 0, pinned)
-            if flat is not None:
-                admitted.append(flat)
-            entry = page.get(key)
-        else:
-            for page_idx, candidate in enumerate(pages):
-                if not candidate.covers_key(key):
-                    continue
-                if candidate.bloom is not None and not candidate.bloom.might_contain(key):
-                    continue
+        while candidates:  # lowest page first, as the weave orders them
+            low = candidates & -candidates
+            candidates ^= low
+            page_idx = low.bit_length() - 1
+            if not pages[page_idx].covers_key(key):
+                continue
+            if hardened:
                 page, flat = reader.read_page_admitting(self, tile_idx, page_idx, pinned)
                 if flat is not None:
                     admitted.append(flat)
-                entry = page.get(key)
-                if entry is not None:
-                    break
-        if entry is None:
-            for flat in admitted:
-                reader.cache.note_negative(self.file_id, flat)
-        return entry
+            else:
+                page = reader.read_page(self, tile_idx, page_idx, pinned)
+            entry = page.get(key)
+            if entry is not None:
+                return entry
+        for flat in admitted:
+            reader.cache.note_negative(self.file_id, flat)
+        return None
 
     def all_entries(self) -> list[Entry]:
         """All entries in sort-key order as a list, *without* charging I/O.
@@ -426,17 +385,56 @@ class SSTableFile:
         )
 
 
-def attach_page_filters(
-    tiles: list[DeleteTile], bits_per_key: float, salt: bytes | None = None
-) -> None:
-    """Equip every page of ``tiles`` with its own Bloom filter."""
-    for tile in tiles:
-        if len(tile.pages) <= 1:
-            continue  # a single candidate page gains nothing from a filter
-        for page in tile.pages:
-            page.bloom = BloomFilter.build(
-                (e.key for e in page.entries), bits_per_key, salt=salt
-            )
+def build_filters(
+    tiles: list[DeleteTile],
+    config: LSMConfig,
+    level: int,
+    salt: bytes | None = None,
+    file_filter: bool = True,
+) -> BloomFilter | None:
+    """Build a file's Bloom filter and attach its tiles' page filters.
+
+    The one filter builder: flushes, compactions, recovery and KiWi
+    rewrites all come here, at the budget of the ``level`` the tiles live
+    on (Monkey allocation).  Each entry's digest is read once, in physical
+    order, into one buffer that every filter of the file is set from.
+    Unsalted digests are cached on the entry (see ``Entry.digest``).
+    Salted ones never are -- entries migrate between trees (shard splits)
+    whose salts differ, and a stale digest would be a silent false
+    negative -- so they come from the per-salt memo instead.  Tile
+    filters are built only under ``kiwi_page_filters`` at ``h > 1``;
+    ``file_filter=False`` skips the file filter (a KiWi rewrite keeps the
+    file's).
+    """
+    bits = config.bloom_bits_for_level(level)
+    with_tiles = bits > 0 and config.kiwi_page_filters and config.pages_per_tile > 1
+    if not (file_filter or with_tiles):
+        return None
+    if bits <= 0:  # filters disabled: no digests, every tile unfiltered
+        return BloomFilter(sum(t.entry_count for t in tiles), bits, salt)
+    pages = [page for tile in tiles for page in tile.pages]
+    if salt is not None:
+        digests = b"".join([key_digest(e.key, salt) for p in pages for e in p.entries])
+    else:
+        try:
+            # Fast path: every entry has been through a build before.
+            digests = b"".join([e.digest for p in pages for e in p.entries])
+        except AttributeError:
+            digests = b"".join([_cached_digest(e) for p in pages for e in p.entries])
+    h1, h2 = hash_pairs(digests)
+    if with_tiles:
+        tile_pages = [[len(page) for page in tile.pages] for tile in tiles]
+        for tile, tile_filter in zip(tiles, build_tile_filters(h1, h2, tile_pages, bits)):
+            tile.filter = tile_filter
+    return BloomFilter.from_hash_pairs(h1, h2, bits, salt) if file_filter else None
+
+
+def _cached_digest(entry: Entry) -> bytes:
+    try:
+        return entry.digest
+    except AttributeError:
+        digest = entry.digest = key_digest(entry.key)
+        return digest
 
 
 def _oldest_tombstone_time(tiles: list[DeleteTile]) -> int | None:
@@ -563,9 +561,10 @@ class Run:
         if idx is None:
             return None
         file = self.files[idx]
-        if not file.bloom.might_contain(key):
+        hashed = key_hash_pair(key, file.bloom.salt)
+        if not file.bloom.might_contain_hashed(hashed[0], hashed[1]):
             return None
-        return file.get(key, reader)
+        return file.get(key, reader, hashed=hashed)
 
     def scan_blocks(
         self, lo: Any, hi: Any, reader: PageReader, reverse: bool = False

@@ -49,7 +49,14 @@ from repro.lsm.iterator import scan_fused
 from repro.lsm.level import Level
 from repro.lsm.memtable import Memtable
 from repro.lsm.page import DeleteTile, Page
-from repro.lsm.run import FileIdAllocator, PageReader, Run, SSTableFile, build_files
+from repro.lsm.run import (
+    FileIdAllocator,
+    PageReader,
+    Run,
+    SSTableFile,
+    build_files,
+    build_filters,
+)
 from repro.lsm.compaction.executor import CompactionEvent, execute_task
 from repro.lsm.compaction.planner import SaturationPlanner
 from repro.lsm.compaction.task import (
@@ -58,13 +65,7 @@ from repro.lsm.compaction.task import (
     OutputPlacement,
     TaskInput,
 )
-from repro.filters.bloom import (
-    BloomFilter,
-    _key_bytes,
-    generate_salt,
-    hash_pair,
-    key_hash_pair,
-)
+from repro.filters.bloom import generate_salt, key_hash_pair
 from repro.storage.cache import BlockCache
 from repro.storage.disk import CATEGORY_FLUSH, SimulatedDisk
 from repro.storage.faults import FaultInjector
@@ -397,13 +398,7 @@ class LSMTree:
         assert self._store is not None
         tile_entries, meta = self._store.read_sstable(file_id)
         tiles = [DeleteTile([Page(page) for page in pages]) for pages in tile_entries]
-        keys = [e.key for tile in tiles for page in tile.pages for e in page.entries]
-        bits = self.config.bloom_bits_for_level(level)
-        bloom = BloomFilter.build(keys, bits, salt=self.bloom_salt)
-        if self.config.kiwi_page_filters and self.config.pages_per_tile > 1:
-            from repro.lsm.run import attach_page_filters
-
-            attach_page_filters(tiles, bits, salt=self.bloom_salt)
+        bloom = build_filters(tiles, self.config, level, self.bloom_salt)
         return SSTableFile(file_id, tiles, bloom, meta.get("created_at", 0))
 
     # ==================================================================
@@ -914,10 +909,7 @@ class LSMTree:
                     level.lookup_skips_fence += 1
                     continue
                 if hashed is None:
-                    try:
-                        hashed = key_hash_pair(key, self.bloom_salt)
-                    except TypeError:  # unhashable key: digest directly
-                        hashed = hash_pair(_key_bytes(key), self.bloom_salt)
+                    hashed = key_hash_pair(key, self.bloom_salt)
                 if not file.bloom.might_contain_hashed(hashed[0], hashed[1]):
                     level.lookup_skips_bloom += 1
                     continue
@@ -929,7 +921,7 @@ class LSMTree:
                         continue  # filter false positive, key between tiles
                     pages = file.tiles[tidx].pages
                     if len(pages) != 1:  # layout drift (recovered file)
-                        found = file.get(key, reader, pinned, tidx)
+                        found = file.get(key, reader, pinned, tidx, hashed)
                     else:
                         # One page per tile => the flat page index IS the
                         # tile index.  Same accounting as read_page, with
@@ -951,7 +943,7 @@ class LSMTree:
                             level.lookup_cache_direct += 1
                             found = page.get(key)
                 else:
-                    found = file.get(key, reader, pinned)
+                    found = file.get(key, reader, pinned, None, hashed)
                 if found is not None:
                     if check is not None and check(found):
                         # Shadowed by a fence: keep descending -- an older

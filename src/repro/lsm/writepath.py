@@ -57,7 +57,7 @@ from operator import attrgetter
 from time import perf_counter, sleep
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
-from repro.filters.bloom import _key_bytes, hash_pair, key_hash_pair
+from repro.filters.bloom import key_hash_pair
 from repro.lsm.compaction import execute_task, install_task, merge_task
 from repro.lsm.entry import Entry, EntryKind
 from repro.lsm.fence import RangeFence, file_fully_shadowed, shadow_check
@@ -555,10 +555,7 @@ class WritePathController:
                     level.lookup_skips_fence += 1
                     continue
                 if hashed is None:
-                    try:
-                        hashed = key_hash_pair(key, tree.bloom_salt)
-                    except TypeError:  # unhashable key: digest directly
-                        hashed = hash_pair(_key_bytes(key), tree.bloom_salt)
+                    hashed = key_hash_pair(key, tree.bloom_salt)
                 if not file.bloom.might_contain_hashed(hashed[0], hashed[1]):
                     level.lookup_skips_bloom += 1
                     continue
@@ -570,7 +567,7 @@ class WritePathController:
                         continue  # filter false positive, key between tiles
                     pages = file.tiles[tidx].pages
                     if len(pages) != 1:  # layout drift (recovered file)
-                        found = file.get(key, reader, pinned, tidx)
+                        found = file.get(key, reader, pinned, tidx, hashed)
                     else:
                         page = cache_get(file.file_id, tidx)
                         if page is None:
@@ -586,7 +583,7 @@ class WritePathController:
                             level.lookup_cache_direct += 1
                             found = page.get(key)
                 else:
-                    found = file.get(key, reader, pinned)
+                    found = file.get(key, reader, pinned, None, hashed)
                 if found is not None:
                     if check is not None and check(found):
                         # Shadowed by a fence that outlives this version;

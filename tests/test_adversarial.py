@@ -409,10 +409,13 @@ def _bloom_defeat_fpr(salted: bool) -> float:
     return probes / (probes + skips)
 
 
-def _hot_residency(attack: str, preload: int, hot_every: int, cache_pages: int):
+def _hot_residency(
+    attack: str, preload: int, hot_every: int, cache_pages: int, page_filters: bool = True
+):
     def run(hardened: bool) -> float:
         engine = AcheronEngine.acheron(
-            memtable_entries=256, cache_pages=cache_pages, cache_hardened=hardened
+            memtable_entries=256, cache_pages=cache_pages, cache_hardened=hardened,
+            kiwi_page_filters=page_filters,
         )
         run_workload(engine, build_adversary(
             attack, seed=3, preload=preload, operations=7000,
@@ -469,7 +472,12 @@ def _oldest_tombstone_age(fade: bool) -> int:
 #: the FPR row is the one with real run-to-run spread.
 DEFENSES = {
     "bloom_defeat": (_bloom_defeat_fpr, True, 1.0 - 0.02),
-    "empty_flood": (_hot_residency("empty_flood", 8192, 512, 32), False, 1.0 - 0.25),
+    # KiWi page filters alone absorb the empty flood (see
+    # test_page_filters_absorb_empty_flood), so the guard is measured on
+    # the unfiltered weave, where bloom false positives reach the cache.
+    "empty_flood": (
+        _hot_residency("empty_flood", 8192, 512, 32, page_filters=False), False, 1.0 - 0.25
+    ),
     "one_hit_flood": (_hot_residency("one_hit_flood", 32768, 32, 48), False, 0.63 - 0.31),
     "hot_shard_storm": (_storm_write_share, True, 1.0 - 0.50),
     "tombstone_churn": (_oldest_tombstone_age, True, 2880 - 64),
@@ -483,3 +491,11 @@ def test_defense_beats_undefended_arm(attack):
     undefended, defended = metric(False), metric(True)
     gain = undefended - defended if lower_is_better else defended - undefended
     assert gain >= measured_gain / 2, (attack, undefended, defended)
+
+
+@pytest.mark.usefixtures("serial_write_path")
+def test_page_filters_absorb_empty_flood():
+    # With the default tile filters an all-miss flood admits no pages, so
+    # the hot set stays resident even without the hardened cache.
+    residency = _hot_residency("empty_flood", 8192, 512, 32)
+    assert residency(False) == residency(True) == 1.0

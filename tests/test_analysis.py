@@ -194,7 +194,9 @@ class TestSummaryAndProfile:
 
 class TestPageFilterModel:
     def test_page_filters_shrink_predicted_weave_penalty(self):
-        plain = model(pages_per_tile=8).point_lookup_pages(10_000, exists=True)
+        plain = model(pages_per_tile=8, kiwi_page_filters=False).point_lookup_pages(
+            10_000, exists=True
+        )
         filtered = model(pages_per_tile=8, kiwi_page_filters=True).point_lookup_pages(
             10_000, exists=True
         )

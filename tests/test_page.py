@@ -4,8 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.filters.bloom import BloomFilter
 from repro.lsm.entry import Entry
 from repro.lsm.page import DeleteTile, Page, weave_tile
+from repro.lsm.run import PageReader, SSTableFile
+from repro.storage.cache import BlockCache
+from repro.storage.disk import SimulatedDisk
 
 
 def put(key, seqno=None, dkey=None, t=0):
@@ -62,13 +66,18 @@ class TestDeleteTile:
         assert tile.entry_count == 2
 
     def test_candidate_pages_checks_every_overlapping_page(self):
-        # Sort-key ranges of pages inside a tile may overlap arbitrarily.
+        # Sort-key ranges of pages inside a tile may overlap arbitrarily,
+        # so an unfiltered tile's point lookup reads every page whose range
+        # covers the key, lowest page first, and no other.
         tile = DeleteTile(
             [Page([put(1), put(10)]), Page([put(5), put(6)]), Page([put(20), put(30)])]
         )
-        assert tile.candidate_page_indexes(6) == [0, 1]
-        assert tile.candidate_page_indexes(25) == [2]
-        assert tile.candidate_page_indexes(15) == []
+        file = SSTableFile(1, [tile], BloomFilter(6, 0), created_at=0)
+        for key, found, pages_read in ((6, 6, 2), (25, None, 1), (15, None, 0)):
+            reader = PageReader(SimulatedDisk(), BlockCache(0))
+            entry = file.get(key, reader)
+            assert (entry and entry.key) == found
+            assert reader.disk.stats.pages_read == pages_read
 
     def test_iter_entries_sorted_merges_pages(self):
         tile = DeleteTile([Page([put(1), put(9)]), Page([put(4), put(7)])])
