@@ -71,17 +71,6 @@ class RangeFence:
         lo, hi, seqno, write_time = row
         return cls(lo, hi, seqno, write_time)
 
-    # ------------------------------------------------------------------
-    # shadowing
-    # ------------------------------------------------------------------
-    def shadows(self, entry: Entry) -> bool:
-        """True when ``entry`` is a value this fence deletes."""
-        return (
-            entry.kind is _PUT
-            and entry.seqno < self.seqno
-            and self.lo <= entry.delete_key <= self.hi
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"RangeFence(dkey=[{self.lo},{self.hi}] seq={self.seqno} "

@@ -555,17 +555,6 @@ class Run:
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
-    def get(self, key: Any, reader: PageReader) -> Entry | None:
-        """Point lookup: file fence -> Bloom -> file probe."""
-        idx = self.file_fence.locate(key)
-        if idx is None:
-            return None
-        file = self.files[idx]
-        hashed = key_hash_pair(key, file.bloom.salt)
-        if not file.bloom.might_contain_hashed(hashed[0], hashed[1]):
-            return None
-        return file.get(key, reader, hashed=hashed)
-
     def scan_blocks(
         self, lo: Any, hi: Any, reader: PageReader, reverse: bool = False
     ) -> Iterator[list[Entry]]:

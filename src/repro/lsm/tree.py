@@ -135,6 +135,10 @@ class LSMTree:
         #: Cache of :meth:`deepest_nonempty_level`, invalidated whenever a
         #: level's run list changes (levels call back via their observer).
         self._deepest_cache: int | None = None
+        #: The serial read path's view of the levels,
+        #: ``((level, (run, ...)), ...)`` newest run first; cleared by the
+        #: same observer and rebuilt by the next read.
+        self._read_levels: tuple | None = None
         #: True when the level structure may have changed since the last
         #: quiescent maintenance pass.  While clean, ``maintain()`` skips
         #: the planner entirely (the saturation triggers are functions of
@@ -850,37 +854,56 @@ class LSMTree:
         return entry is not None and entry.is_put
 
     def _get_entry(self, key: Any) -> Entry | None:
-        """The pruned point lookup (the tentpole of the read overhaul).
+        """The pruned point lookup: the one descent, in every mode.
+
+        It walks one snapshot: the fences, the active memtable, the
+        frozen memtables (newest first) and the levels as
+        ``((level, runs), ...)`` with runs newest first.  Serial trees
+        have no frozen memtables and read their levels from
+        ``_read_levels``, a tuple rebuilt after each structure change.
+        Concurrent trees take both from :meth:`WritePathController.read_view`.
 
         Per run, in cost order: (1) the run's ``[min_key, max_key]`` span
         and the file/tile fence pointers -- pure in-memory comparisons --
-        skip runs that cannot hold the key; (2) when the fences name a
-        single candidate page and it is already cached, the lookup is
-        answered from it directly (a resident page is cheaper than a
-        filter probe, and exact); (3) otherwise the file's Bloom filter
+        skip runs that cannot hold the key; (2) a file a range-tombstone
+        fence fully shadows is skipped; (3) the file's Bloom filter
         is probed with a hash pair computed at most *once* per lookup
         (and only when some run survives the range check, so out-of-range
         probes never pay the digest); (4) only then does the file descend
         to pages, through the shared cache-aware reader.  Level-1 pages --
         the hottest, most-churned data -- are inserted pinned.  Every
         skip/probe is accounted per level (see :meth:`read_stats`).
-
-        Concurrent mode routes through the controller's published
-        snapshot (active memtable -> frozen queue -> versioned levels);
-        the two-instruction guard below is the read path's entire
-        concurrency cost in serial mode.
         """
-        wp = self._wp
-        if wp is not None:
-            return wp.get_entry(key)
+        # Load order is the concurrent path's visibility invariant:
+        # fences before everything (fence retirement republishes the
+        # resolved structure before it drops the fence), the active
+        # memtable before the frozen queue (rotation freezes the table
+        # before rebinding it), the frozen queue before the levels (a
+        # flush republishes before it trims the queue).  A reader may see
+        # an entry twice, never zero times; seqno order resolves repeats.
         fences = self._fences
+        memtable = self.memtable
+        wp = self._wp
+        if wp is None:
+            frozen = ()
+            levels = self._read_levels
+            if levels is None:
+                levels = self._rebuild_read_levels()
+        else:
+            frozen, levels = wp.read_view()
         check = shadow_check(fences)
-        entry = self.memtable.get(key)
+        entry = memtable.get(key)
         if entry is not None:
             if check is None or not check(entry):
                 return entry
             # Fence-shadowed: the buffered version is deleted, but an
             # older out-of-window version may survive below -- descend.
+        if frozen:  # serial trees have none: skip the loop setup
+            for memtable in frozen:
+                entry = memtable.get(key)
+                if entry is not None:
+                    if check is None or not check(entry):
+                        return entry
         hashed = None
         reader = self._reader
         cache_get = self.cache.get
@@ -888,9 +911,9 @@ class LSMTree:
         # to exactly one fence-named page, so the descent is inlined below
         # (no file.get / read_page frames on the hottest path).
         single_page = self.config.pages_per_tile == 1
-        for level in self._levels:
+        for level, runs in levels:
             pinned = level.index == 1
-            for run in level.runs:  # newest first
+            for run in runs:  # newest first
                 files = run.files
                 if key < files[0].min_key or key > files[-1].max_key:
                     level.lookup_skips_range += 1
@@ -966,30 +989,50 @@ class LSMTree:
         ``lo`` (``limit`` then takes the topmost keys).  Lazy: page reads
         are charged as the iterator is consumed.
 
-        The fused path: runs whose key span misses ``[lo, hi]`` are pruned
-        up front without I/O (at call time), each surviving run streams
-        per-tile blocks with batched prefetching (:meth:`Run.scan_blocks`),
-        and :func:`scan_fused` merges the blocks, skipping
-        tombstone-shadowed keys without materializing them and
-        early-exiting on ``limit``.  The returned iterator is a C-level
-        ``map`` over the fused merge -- no per-row Python frame here.
+        The fused path over the same snapshot :meth:`_get_entry` walks:
+        runs whose key span misses ``[lo, hi]`` are pruned up front
+        without I/O (at call time), each surviving run streams per-tile
+        blocks with batched prefetching (:meth:`Run.scan_blocks`), and
+        :func:`scan_fused` merges the blocks, skipping tombstone-shadowed
+        keys without materializing them and early-exiting on ``limit``.
+        Shadowing is resolved by seqno, so the sources' relative order
+        does not matter.  The returned iterator is a C-level ``map`` over
+        the fused merge -- no per-row Python frame here.
         """
         self._check_open()
         self.counters["scans"] += 1
         if limit is not None and limit <= 0:
             return iter(())  # LIMIT 0: empty, not "unlimited"
         wp = self._wp
-        if wp is not None:
-            return wp.scan(lo, hi, limit=limit, reverse=reverse)
+        if wp is None:
+            fences = self._fences
+            buffered = list(self.memtable.range(lo, hi))
+            frozen = ()
+            levels = self._read_levels
+            if levels is None:
+                levels = self._rebuild_read_levels()
+        else:
+            # Skip-list links are not safe to traverse mid-insert, so the
+            # active memtable is copied under the writer lock; the view is
+            # loaded in _get_entry's order.
+            with wp.write_lock:
+                fences = self._fences
+                buffered = list(self.memtable.range(lo, hi))
+                frozen, levels = wp.read_view()
         reader = self._reader
-        buffered = list(self.memtable.range(lo, hi))
-        if reverse:
-            buffered.reverse()
         sources: list = []
         if buffered:
+            if reverse:
+                buffered.reverse()
             sources.append((buffered,))
-        for level in self._levels:
-            for run in level.runs:
+        for memtable in frozen:
+            chunk = list(memtable.range(lo, hi))
+            if chunk:
+                if reverse:
+                    chunk.reverse()
+                sources.append((chunk,))
+        for level, runs in levels:
+            for run in runs:
                 if run.max_key < lo or run.min_key > hi:
                     level.scan_runs_pruned += 1
                     continue
@@ -999,10 +1042,7 @@ class LSMTree:
         return map(
             _ENTRY_PAIR,
             scan_fused(
-                sources,
-                limit=limit,
-                reverse=reverse,
-                drop=shadow_check(self._fences),
+                sources, limit=limit, reverse=reverse, drop=shadow_check(fences)
             ),
         )
 
@@ -1051,7 +1091,15 @@ class LSMTree:
     def _on_structure_change(self) -> None:
         """A level's run list changed: invalidate structure-derived caches."""
         self._deepest_cache = None
+        self._read_levels = None
         self._maintenance_dirty = True
+
+    def _rebuild_read_levels(self) -> tuple:
+        """The serial read snapshot of the levels, cached until they change."""
+        levels = self._read_levels = tuple(
+            (level, tuple(level.runs)) for level in self._levels
+        )
+        return levels
 
     def iter_levels(self) -> Iterator[Level]:
         """Existing levels, shallow to deep (some may be empty)."""

@@ -50,18 +50,15 @@ paths, bit-identical to the pre-concurrency engine.
 from __future__ import annotations
 
 import threading
-from bisect import bisect_right
 from collections import deque
 from contextlib import contextmanager
 from operator import attrgetter
 from time import perf_counter, sleep
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
-from repro.filters.bloom import key_hash_pair
 from repro.lsm.compaction import execute_task, install_task, merge_task
 from repro.lsm.entry import Entry, EntryKind
-from repro.lsm.fence import RangeFence, file_fully_shadowed, shadow_check
-from repro.lsm.iterator import scan_fused
+from repro.lsm.fence import RangeFence, shadow_check
 from repro.lsm.memtable import Memtable
 from repro.lsm.run import Run, build_files
 from repro.storage.disk import CATEGORY_FLUSH
@@ -71,7 +68,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _ENTRY_KEY = attrgetter("key")
 _ENTRY_SEQNO = attrgetter("seqno")
-_ENTRY_PAIR = attrgetter("key", "value")
 
 #: Frozen-queue depth (per worker) at which writers take the soft delay.
 SOFT_QUEUE_DEPTH_PER_WORKER = 3
@@ -154,9 +150,10 @@ class WritePathController:
     Locking order (outermost first): ``write_lock`` (writer
     serialization) -> ``_mu`` (structure + scheduler state).  Background
     threads only ever take ``_mu``; a writer waiting inside ``_mu`` can
-    therefore always be woken by a background install.  Readers take no
-    lock at all: they load ``self.frozen`` and ``self.published`` once
-    (atomic tuple loads) and work on immutable state.
+    therefore always be woken by a background install.  Point lookups
+    take no lock at all: :meth:`read_view` hands them ``self.frozen`` and
+    ``self.published`` (atomic tuple loads) and they work on immutable
+    state.  Scans take ``write_lock`` only to copy the active memtable.
     """
 
     def __init__(self, tree: "LSMTree", workers: int) -> None:
@@ -502,144 +499,16 @@ class WritePathController:
         return changed
 
     # ==================================================================
-    # read path (no locks; immutable snapshots)
+    # read view (no locks; immutable snapshots)
     # ==================================================================
-    def get_entry(self, key: Any) -> Entry | None:
-        """Point lookup over active memtable -> frozen queue -> snapshot.
+    def read_view(self) -> tuple[tuple[Memtable, ...], tuple]:
+        """``(frozen, published)`` for :meth:`LSMTree._get_entry` and scan.
 
-        The on-disk descent mirrors :meth:`LSMTree.get_entry` exactly
-        (range fences -> Bloom probe with one hash pair per lookup ->
-        cache-first single-page fast path) so modeled page reads and the
-        per-level skip/probe accounting agree between serial and
-        concurrent mode on identical workloads.
+        Two atomic loads, frozen first: :meth:`_install_flush` republishes
+        before it trims the queue, so a reader that loads in this order
+        sees a flushed memtable in at least one of the two.
         """
-        tree = self.tree
-        # The fence snapshot is loaded *before* frozen/published.  Fence
-        # retirement republishes the post-resolution structure before it
-        # drops a fence, so this load order guarantees a reader never
-        # pairs a retired-fence view with a snapshot that still holds the
-        # entries that fence shadowed.
-        fences = tree._fences
-        check = shadow_check(fences)
-        entry = tree.memtable.get(key)
-        if entry is not None:
-            if check is None or not check(entry):
-                return entry
-            # Fence-shadowed: an older out-of-window version may survive
-            # in the frozen queue or on disk -- keep descending.
-        for memtable in self.frozen:
-            entry = memtable.get(key)
-            if entry is not None:
-                if check is None or not check(entry):
-                    return entry
-        reader = tree._reader
-        hashed = None
-        cache_get = tree.cache.get
-        single_page = tree.config.pages_per_tile == 1
-        for level, runs in self.published:
-            pinned = level.index == 1
-            for run in runs:  # newest first
-                files = run.files
-                if key < files[0].min_key or key > files[-1].max_key:
-                    level.lookup_skips_range += 1
-                    continue
-                fence = run.file_fence
-                idx = bisect_right(fence.mins, key) - 1
-                if idx < 0 or key > fence.maxes[idx]:
-                    level.lookup_skips_range += 1
-                    continue
-                file = files[idx]
-                if check is not None and file_fully_shadowed(file, fences):
-                    # Every PUT in this file is fence-shadowed: skip the
-                    # Bloom probe and the page descent entirely.
-                    level.lookup_skips_fence += 1
-                    continue
-                if hashed is None:
-                    hashed = key_hash_pair(key, tree.bloom_salt)
-                if not file.bloom.might_contain_hashed(hashed[0], hashed[1]):
-                    level.lookup_skips_bloom += 1
-                    continue
-                level.lookup_probes += 1
-                if single_page:
-                    tile_fence = file.tile_fence
-                    tidx = bisect_right(tile_fence.mins, key) - 1
-                    if tidx < 0 or key > tile_fence.maxes[tidx]:
-                        continue  # filter false positive, key between tiles
-                    pages = file.tiles[tidx].pages
-                    if len(pages) != 1:  # layout drift (recovered file)
-                        found = file.get(key, reader, pinned, tidx, hashed)
-                    else:
-                        page = cache_get(file.file_id, tidx)
-                        if page is None:
-                            tree.disk.read_pages(1, reader.category)
-                            page = pages[0]
-                            tree.cache.put(file.file_id, tidx, page, pinned)
-                            found = page.get(key)
-                            if found is None:
-                                # Negative-lookup guard, as in
-                                # LSMTree.get_entry (hardened caches only).
-                                tree.cache.note_negative(file.file_id, tidx)
-                        else:
-                            level.lookup_cache_direct += 1
-                            found = page.get(key)
-                else:
-                    found = file.get(key, reader, pinned, None, hashed)
-                if found is not None:
-                    if check is not None and check(found):
-                        # Shadowed by a fence that outlives this version;
-                        # an older survivor may exist deeper down.
-                        continue
-                    level.lookup_serves += 1
-                    return found
-        return None
-
-    def scan(
-        self,
-        lo: Any,
-        hi: Any,
-        limit: int | None = None,
-        reverse: bool = False,
-    ) -> Iterator[tuple[Any, Any]]:
-        """Fused range scan over the full concurrent view.
-
-        The active memtable is snapshotted under ``write_lock`` (skip-list
-        links are not safe to traverse mid-insert); each frozen memtable
-        and the published runs are immutable and need no lock.  Shadow
-        resolution is by seqno inside :func:`scan_fused`, so each source's
-        relative order is irrelevant.
-        """
-        tree = self.tree
-        reader = tree._reader
-        sources: list = []
-        with self.write_lock:
-            fences = tree._fences  # before frozen/published (see get_entry)
-            buffered = list(tree.memtable.range(lo, hi))
-            frozen = self.frozen
-            published = self.published
-        if buffered:
-            if reverse:
-                buffered.reverse()
-            sources.append((buffered,))
-        for memtable in frozen:
-            chunk = list(memtable.range(lo, hi))
-            if chunk:
-                if reverse:
-                    chunk.reverse()
-                sources.append((chunk,))
-        for level, runs in published:
-            for run in runs:
-                if run.max_key < lo or run.min_key > hi:
-                    level.scan_runs_pruned += 1
-                    continue
-                sources.append(run.scan_blocks(lo, hi, reader, reverse))
-        if not sources:
-            return iter(())
-        return map(
-            _ENTRY_PAIR,
-            scan_fused(
-                sources, limit=limit, reverse=reverse, drop=shadow_check(fences)
-            ),
-        )
+        return self.frozen, self.published
 
     # ==================================================================
     # quiesce points

@@ -3,13 +3,11 @@
 from repro.tools.doctor import (
     DoctorReport,
     diagnose_store,
-    examine_read_path,
     examine_write_path,
 )
 
 __all__ = [
     "DoctorReport",
     "diagnose_store",
-    "examine_read_path",
     "examine_write_path",
 ]

@@ -286,70 +286,19 @@ class _NullBloom:
 
 
 # ---------------------------------------------------------------------------
-# live read-path examination
-# ---------------------------------------------------------------------------
-def examine_read_path(tree: Any, name: str = "tree") -> DoctorReport:
-    """Read-path health of a *live* tree: cache + pruning effectiveness.
-
-    The offline checks above verify durable bytes; this one verifies the
-    read path is doing its job at runtime.  It surfaces the cache section
-    and per-level pruning counters in ``report.stats`` and warns on the
-    symptoms of a misconfigured read path: a sized cache that never hits,
-    an eviction storm (more evictions than hits -- capacity too small for
-    the working set), and Bloom filters that never skip a probed run.
-    Advisory only: warnings never mark the report unhealthy.
-    """
-    from repro.metrics.readpath import read_path_report
-
-    report = DoctorReport(directory=name)
-    snapshot = read_path_report(tree)
-    cache = snapshot["cache"]
-    report.stats["cache"] = cache
-    report.stats["read_path"] = snapshot["levels"]
-    report.stats["lookup_prune_rate"] = snapshot["lookup_prune_rate"]
-
-    lookups = cache["hits"] + cache["misses"]
-    if cache["capacity_pages"] == 0:
-        report.warn("block cache disabled (capacity 0): every read pays device I/O")
-    elif lookups and cache["hit_rate"] == 0.0:
-        report.warn(f"cache never hit across {lookups} lookups")
-    else:
-        report.passed(
-            f"cache serving (hit rate {cache['hit_rate']:.1%} over {lookups} lookups)"
-        )
-    if cache["evictions"] > cache["hits"] and cache["evictions"] > 0:
-        report.warn(
-            f"eviction storm: {cache['evictions']} evictions vs {cache['hits']} "
-            "hits (capacity likely below the working set)"
-        )
-    probes = snapshot["lookup_run_probes"]
-    skips = snapshot["lookup_run_skips"]
-    if probes + skips:
-        report.passed(
-            f"pruning active: {skips} of {probes + skips} run visits skipped "
-            "without I/O"
-        )
-        bloom_skips = sum(r["lookup_skips_bloom"] for r in snapshot["levels"])
-        if probes and not bloom_skips:
-            report.warn("bloom filters never skipped a run (bits_per_key too low?)")
-    return report
-
-
-# ---------------------------------------------------------------------------
 # live attack-surface examination
 # ---------------------------------------------------------------------------
 def examine_attack_surface(engine: Any, name: str = "engine") -> DoctorReport:
     """Adversarial posture of a *live* engine: which defenses are armed.
 
-    The robustness sibling of :func:`examine_read_path`.  It reports, per
-    defense, whether the engine is exposed to the attack classes in
-    :mod:`repro.workload.adversarial`: unsalted blooms (bloom-defeating
-    key streams can be crafted offline), unhardened cache admission
-    (one-hit-wonder and empty-point floods evict the working set), and --
-    for sharded engines -- a disabled auto-split controller (write storms
-    pin one shard's flush queue).  Advisory only: an undefended engine is
-    a configuration choice, not corruption, so warnings never mark the
-    report unhealthy.
+    It reports, per defense, whether the engine is exposed to the attack
+    classes in :mod:`repro.workload.adversarial`: unsalted blooms
+    (bloom-defeating key streams can be crafted offline), unhardened
+    cache admission (one-hit-wonder and empty-point floods evict the
+    working set), and -- for sharded engines -- a disabled auto-split
+    controller (write storms pin one shard's flush queue).  Advisory
+    only: an undefended engine is a configuration choice, not
+    corruption, so warnings never mark the report unhealthy.
     """
     report = DoctorReport(directory=name)
     trees = (
@@ -607,8 +556,7 @@ def examine_policy(engine: Any, name: str = "engine", window_ops: int = 4096) ->
 def examine_write_path(tree: Any, name: str = "tree") -> DoctorReport:
     """Write-path health of a *live* tree: pipeline and backpressure.
 
-    The mirror of :func:`examine_read_path` for the ingest side.  It
-    surfaces the flush/compaction pipeline report in ``report.stats``
+    It surfaces the flush/compaction pipeline report in ``report.stats``
     and warns on the symptoms of a misconfigured write path: writers
     spending measurable time in hard stalls (the background pool cannot
     keep up -- too few workers or the memtable too small), and a flush
@@ -806,11 +754,11 @@ def _check_sharded(directory: str | Path, per_shard, verb: str) -> DoctorReport:
 def examine_shards(engine: Any, name: str = "sharded-engine") -> DoctorReport:
     """Shard-level health of a *live* sharded engine.
 
-    The sharding sibling of :func:`examine_read_path`: it surfaces the
-    per-shard breakdown (range, size, FADE/``D_th`` compliance) in
-    ``report.stats`` and warns on the operational symptoms a shard layer
-    introduces: a ``D_th`` violation on any shard, heavy size skew (the
-    rebalancer's trigger condition persisting), and empty shards.
+    It surfaces the per-shard breakdown (range, size, FADE/``D_th``
+    compliance) in ``report.stats`` and warns on the operational
+    symptoms a shard layer introduces: a ``D_th`` violation on any shard,
+    heavy size skew (the rebalancer's trigger condition persisting), and
+    empty shards.
     Advisory only, except ``D_th`` violations, which are errors -- they
     break the paper's headline contract.
     """

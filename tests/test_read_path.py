@@ -13,6 +13,9 @@ Three layers of assurance:
   and the cache stats surfaced through ``read_stats`` and the inspector.
 """
 
+import random
+import shutil
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -287,3 +290,86 @@ class TestObservabilitySurfaces:
         assert stats.cache["capacity_pages"] == 16
         assert isinstance(stats.read_path, list)
         assert stats.counters["cache_hits"] == engine.tree.cache.hits
+
+
+def _structure(tree):
+    return [
+        (level.index, [[f.file_id for f in run.files] for run in level.runs])
+        for level in tree.iter_levels()
+    ]
+
+
+class TestModeParity:
+    """Serial and concurrent trees run one descent over one snapshot shape,
+    so the same reads on the same store give the same results, the same
+    per-level counters and the same modeled device I/O."""
+
+    @staticmethod
+    def _build(directory, config):
+        rng = random.Random(20230612)
+        with LSMTree.open(config, directory, workers=1) as tree:
+            tree.put_many((k, f"v{k}", k) for k in range(1200))
+            for k in rng.sample(range(300, 1200), 150):
+                tree.delete(k)
+            # In-window rewrites of out-of-window versions: the fence
+            # below shadows the rewrite, so the older version resurfaces.
+            tree.put_many((k, f"w{k}", k - 600) for k in range(600, 700))
+            tree.append_range_fence(0, 299)
+            tree.put_many((k, f"n{k}", k) for k in range(100, 120))
+
+    @staticmethod
+    def _reads(tree):
+        rng = random.Random(7)
+        before = tree.disk.stats.copy()
+        results = [tree.get(k) for k in (rng.randrange(-50, 1300) for _ in range(600))]
+        results += [tree.get(k) for k in range(0, 320, 3)]  # fence-shadowed
+        for _ in range(40):
+            lo = rng.randrange(-20, 1250)
+            hi = lo + rng.randrange(0, 120)
+            results.append(list(tree.scan(lo, hi)))
+            results.append(list(tree.scan(lo, hi, reverse=True)))
+            results.append(list(tree.scan(lo, hi, limit=1 + rng.randrange(9))))
+        io = tree.disk.stats.minus(before)
+        return (
+            results,
+            tree.read_stats()["levels"],
+            (io.pages_read, io.read_requests, io.modeled_us),
+        )
+
+    @pytest.mark.parametrize("hardened", [False, True])
+    @pytest.mark.parametrize("pages_per_tile", [1, 8])
+    def test_reads_are_identical_in_both_modes(
+        self, tmp_path, pages_per_tile, hardened
+    ):
+        config = baseline_config(
+            pages_per_tile=pages_per_tile,
+            cache_pages=32,
+            cache_hardened=hardened,
+            **TINY,
+        )
+        built = tmp_path / "built"
+        self._build(built, config)
+        observed = {}
+        for workers in (1, 4):
+            directory = tmp_path / f"workers-{workers}"
+            shutil.copytree(built, directory)
+            tree = LSMTree.open(config, directory, workers=workers)
+            try:
+                tree.write_barrier()
+                # Buffered versions a fence shadows: the descent must
+                # continue past the memtable to the older versions below.
+                tree.put_many((k, f"m{k}", 280 + k % 10) for k in range(700, 720))
+                tree.append_range_fence(280, 289)
+                tree.write_barrier()
+                observed[workers] = (_structure(tree), self._reads(tree))
+            finally:
+                tree.close()
+        serial, concurrent = observed[1], observed[4]
+        assert serial[0] == concurrent[0]  # same store, same shape
+        assert serial[1][0] == concurrent[1][0]
+        assert serial[1][1] == concurrent[1][1]
+        assert serial[1][2] == concurrent[1][2]
+        # The store exercises what the descent must agree on.
+        assert sum(row["lookup_skips_fence"] for row in serial[1][1]) > 0
+        assert sum(row["lookup_serves"] for row in serial[1][1]) > 0
+        assert len(serial[0]) > 1

@@ -11,6 +11,7 @@ from repro.lsm.run import (
     SSTableFile,
     build_files,
 )
+from repro.lsm.tree import LSMTree
 from repro.storage.cache import BlockCache
 from repro.storage.disk import SimulatedDisk
 
@@ -172,23 +173,35 @@ class TestRun:
         assert len(run) == 3
         assert run.min_key == 0 and run.max_key == 23
 
+    @staticmethod
+    def _one_run_tree(keys, **kw):
+        """A tree whose only run holds ``keys``, split over several files."""
+        tree = LSMTree(config(**kw))
+        tree.put_many((k, f"v{k}") for k in keys)
+        tree.flush()
+        (level,) = [lvl for lvl in tree.iter_levels() if lvl.runs]
+        (run,) = level.runs
+        assert len(run.files) > 1
+        return tree, run
+
     def test_get_routes_to_the_right_file(self):
-        run = Run(self._files())
-        r = reader()
-        assert run.get(0, r).value == "v0"
-        assert run.get(15, r).value == "v15"
-        assert run.get(23, r).value == "v23"
-        assert run.get(50, r) is None
+        tree, run = self._one_run_tree(range(24), max_file_entries=8)
+        assert tree.get(0) == "v0"
+        assert tree.get(15) == "v15"
+        assert tree.get(23) == "v23"
+        assert tree.get(50) is None
+        # Each hit probed exactly the one file whose fence holds the key.
+        (row,) = [r for r in tree.read_stats()["levels"] if r["lookup_serves"]]
+        assert row["lookup_serves"] == 3 and row["lookup_probes"] == 3
 
     def test_bloom_prevents_page_reads_for_missing_keys(self):
-        cfg = config(max_file_entries=8, bloom_bits_per_key=16)
-        files = build_files([put(k * 2) for k in range(12)], cfg, FileIdAllocator(), 0)
-        run = Run(files)
-        r = reader()
-        misses = sum(1 for k in range(1, 40, 2) if run.get(k, r) is None)
+        tree, run = self._one_run_tree(
+            [k * 2 for k in range(12)], max_file_entries=8, bloom_bits_per_key=16
+        )
+        misses = sum(1 for k in range(1, 40, 2) if tree.get(k) is None)
         assert misses == 20
         # With 16 bits/key nearly all odd probes are filtered before I/O.
-        assert r.disk.stats.pages_read <= 2
+        assert tree.disk.stats.pages_read <= 2
 
     def test_range_entries_across_files(self):
         run = Run(self._files())
