@@ -405,11 +405,13 @@ class AcheronEngine:
             "deletes_pending": stats.pending,
             "oldest_pending_age": stats.oldest_pending_age,
             "deadline_violations": stats.violations,
-            "compliant": stats.compliant(),
+            # Range deletes carry the same D_th promise as point deletes:
+            # a live fence past the threshold is a compliance failure too.
+            "compliant": stats.compliant()
+            and fence_row["within_threshold"] is not False,
             "tombstones_on_disk": amp.tombstones_on_disk,
             "logically_dead_bytes_on_disk": dead_bytes,
-            # Range deletes carry the same D_th promise as point deletes:
-            # a live fence past the threshold means shadowed data is
+            # A live fence past the threshold means shadowed data is
             # overstaying its welcome on the device.
             "range_fences_live": fence_row["live"],
             "oldest_fence_age": fence_row["oldest_age"],

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from repro.lsm.entry import Entry, EntryKind
-from repro.lsm.fence import shadow_check
 from repro.lsm.iterator import merge_resolve_list
 from repro.lsm.run import Run, SSTableFile, build_files
 from repro.lsm.compaction.task import CompactionTask, OutputPlacement
@@ -141,7 +140,7 @@ def merge_task(
     # out-of-window version in the same merge still wins its key, and
     # the rewrite cost lands in CATEGORY_COMPACTION where it belongs.
     fence_resolved = 0
-    fence_drop = shadow_check(tree.fences)
+    fence_drop = tree.fences.check
     if fence_drop is not None:
         filtered: list[Iterable[Entry]] = []
         for source in sources:

@@ -29,7 +29,11 @@ be shadowed by it; compaction retires resolved fences (see
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Sequence
+from bisect import bisect_left, bisect_right
+from heapq import heappop, heappush
+from itertools import count
+from operator import attrgetter
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.lsm.entry import Entry, EntryKind
 
@@ -37,6 +41,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lsm.run import SSTableFile
 
 _PUT = EntryKind.PUT
+_LO = attrgetter("lo")
+#: Distinct per index object: keys the per-file ``fully_shadows`` memo
+#: without keeping old indexes alive through the files that cached them.
+_TOKENS = count(1)
 
 
 class RangeFence:
@@ -71,81 +79,166 @@ class RangeFence:
         lo, hi, seqno, write_time = row
         return cls(lo, hi, seqno, write_time)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"RangeFence(dkey=[{self.lo},{self.hi}] seq={self.seqno} "
-            f"t={self.write_time})"
-        )
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RangeFence):
-            return NotImplemented
-        return (self.lo, self.hi, self.seqno, self.write_time) == (
-            other.lo,
-            other.hi,
-            other.seqno,
-            other.write_time,
-        )
+class RangeTombstoneIndex:
+    """The live fences of one tree, indexed for shadow checks (immutable).
 
-    def __hash__(self) -> int:
-        return hash((self.lo, self.hi, self.seqno, self.write_time))
+    It iterates its fences oldest-first (install order), the order
+    manifests, WAL rewrites and FADE rely on.
+    Every shadow question goes through it:
 
+    * :attr:`check` -- a per-entry predicate built once per fence-set
+      change, or None when no fence is live (hot loops then skip the call
+      with one truth test).  One fence keeps the three-compare closure;
+      more fences close over the **painted** delete-key axis below, so a
+      check is two bisects and one compare whatever the fence count.
+    * :meth:`fully_shadows` -- the read path's whole-file skip, memoized
+      on the (immutable) file per index.
 
-def shadow_check(
-    fences: Sequence[RangeFence],
-) -> Callable[[Entry], bool] | None:
-    """A fast per-entry shadow predicate, or None when there are no fences.
+    The painted axis is exact for any totally ordered delete keys.
+    ``_points`` holds every distinct fence endpoint in ascending order;
+    ``_values`` interleaves the highest covering fence seqno (0: none) of
+    each open gap and each point: ``_values[2k]`` covers the gap just
+    below ``_points[k]`` and ``_values[2k + 1]`` the point itself.  For a
+    delete key ``dk``, ``bisect_left + bisect_right`` is ``2k`` inside a
+    gap and ``2k + 1`` on a point.  An entry is shadowed iff it is a PUT
+    and that highest covering seqno exceeds its own -- the same answer as
+    asking every fence, since any covering fence newer than the entry
+    makes the newest covering fence newer too.
 
-    Returning None (rather than an always-false closure) lets hot loops
-    skip the call entirely with one truth test -- the read and merge paths
-    pay nothing while no fence is live.
+    Readers snapshot the index with one attribute load; the tree rebinds
+    a new index on every change and never mutates one in place.
     """
-    if not fences:
-        return None
-    if len(fences) == 1:
-        fence = fences[0]
+
+    __slots__ = ("_fences", "_points", "_values", "_top", "check", "token")
+
+    def __init__(self, fences: Iterable[RangeFence] = ()) -> None:
+        """Build from scratch: one O(F log F) sweep over the endpoints."""
+        fences = tuple(fences)
+        points = sorted({f.lo for f in fences} | {f.hi for f in fences})
+        values = [0]
+        by_lo = sorted(fences, key=_LO)
+        active: list[tuple[int, object]] = []  # (-seqno, hi): a max-heap
+        nxt = 0
+        for point in points:
+            while nxt < len(by_lo) and by_lo[nxt].lo <= point:
+                fence = by_lo[nxt]
+                heappush(active, (-fence.seqno, fence.hi))
+                nxt += 1
+            # Lazy deletion: only the top must still cover; a stale entry
+            # below it is popped once it surfaces.
+            while active and active[0][1] < point:
+                heappop(active)
+            values.append(-active[0][0] if active else 0)  # the point
+            while active and active[0][1] <= point:
+                heappop(active)
+            values.append(-active[0][0] if active else 0)  # the gap above
+        self._assemble(fences, points, values, max(values))
+
+    def _assemble(self, fences: tuple, points: list, values: list, top: int) -> None:
+        self._fences = fences
+        self._points = points
+        self._values = values
+        self._top = top  # the newest live fence's seqno (0: none)
+        self.token = next(_TOKENS)
+        if not fences:
+            self.check = None
+        elif len(fences) == 1:
+            fence = fences[0]
+            lo, hi, seq = fence.lo, fence.hi, fence.seqno
+
+            def check_one(entry: Entry) -> bool:
+                return (
+                    entry.kind is _PUT
+                    and entry.seqno < seq
+                    and lo <= entry.delete_key <= hi
+                )
+
+            self.check = check_one
+        else:
+
+            def check_painted(entry: Entry) -> bool:
+                if entry.kind is not _PUT:
+                    return False
+                dk = entry.delete_key
+                return entry.seqno < values[
+                    bisect_left(points, dk) + bisect_right(points, dk)
+                ]
+
+            self.check = check_painted
+
+    # ------------------------------------------------------------------
+    # fence-set changes: each returns a new index
+    # ------------------------------------------------------------------
+    def install(self, fence: RangeFence) -> "RangeTombstoneIndex":
+        """This index plus ``fence`` (appended: iteration stays install order).
+
+        A new fence is newer than every live one, so it wins wherever it
+        covers: painting ``[lo, hi]`` with its seqno is one bisect pair
+        and one splice -- every endpoint strictly inside the window goes,
+        ``lo`` and ``hi`` come in, and the gaps just outside keep their
+        values.  Recovery may restore an older fence from the WAL; that
+        rare case rebuilds instead.
+        """
+        fences = self._fences + (fence,)
+        if fence.seqno <= self._top:
+            return RangeTombstoneIndex(fences)
         lo, hi, seq = fence.lo, fence.hi, fence.seqno
+        points = self._points.copy()
+        values = self._values.copy()
+        i = bisect_left(points, lo)
+        j = bisect_right(points, hi)
+        below, above = values[2 * i], values[2 * j]
+        if lo == hi:
+            points[i:j] = [lo]
+            values[2 * i : 2 * j + 1] = [below, seq, above]
+        else:
+            points[i:j] = [lo, hi]
+            values[2 * i : 2 * j + 1] = [below, seq, seq, seq, above]
+        index = RangeTombstoneIndex.__new__(RangeTombstoneIndex)
+        index._assemble(fences, points, values, seq)
+        return index
 
-        def check_one(entry: Entry) -> bool:
-            return (
-                entry.kind is _PUT
-                and entry.seqno < seq
-                and lo <= entry.delete_key <= hi
-            )
+    # ------------------------------------------------------------------
+    # queries
+    # ------------------------------------------------------------------
+    def fully_shadows(self, file: "SSTableFile") -> bool:
+        """True when one fence shadows *every* entry of ``file``.
 
-        return check_one
-    spans = [(f.lo, f.hi, f.seqno) for f in fences]
+        This is the read path's I/O shortcut: a file whose whole
+        delete-key span is covered by a single fence, which predates that
+        fence entirely, and which holds no tombstones, can contribute
+        nothing visible -- the lookup skips its Bloom probe and page
+        descent outright.  Files are immutable, so the answer is memoized
+        on the file under this index's ``token``: a lookup pays the fence
+        walk once per (file, fence set), then one compare.
+        """
+        memo = file.shadow_memo
+        if memo is not None and memo[0] == self.token:
+            return memo[1]
+        covered = False
+        if not file.tombstone_count:
+            lo = file.min_delete_key
+            hi = file.max_delete_key
+            for fence in self._fences:
+                if fence.lo <= lo and hi <= fence.hi and file.max_seqno < fence.seqno:
+                    covered = True
+                    break
+        file.shadow_memo = (self.token, covered)
+        return covered
 
-    def check_many(entry: Entry) -> bool:
-        if entry.kind is not _PUT:
-            return False
-        dk = entry.delete_key
-        sq = entry.seqno
-        for lo, hi, seq in spans:
-            if sq < seq and lo <= dk <= hi:
-                return True
-        return False
+    def __iter__(self) -> Iterator[RangeFence]:
+        return iter(self._fences)
 
-    return check_many
+    def __len__(self) -> int:
+        return len(self._fences)
+
+    def __bool__(self) -> bool:
+        return bool(self._fences)
 
 
-def file_fully_shadowed(file: "SSTableFile", fences: Sequence[RangeFence]) -> bool:
-    """True when *every* entry of ``file`` is shadowed by one fence.
-
-    This is the read path's I/O shortcut: a file whose whole delete-key
-    span is covered by a fence, which predates the fence entirely, and
-    which holds no tombstones, can contribute nothing visible -- the
-    lookup skips its Bloom probe and page descent outright.  All three
-    conditions are O(1) metadata tests.
-    """
-    if file.tombstone_count:
-        return False
-    lo = file.min_delete_key
-    hi = file.max_delete_key
-    for fence in fences:
-        if fence.lo <= lo and hi <= fence.hi and file.max_seqno < fence.seqno:
-            return True
-    return False
+#: The empty index every tree starts from.
+NO_FENCES = RangeTombstoneIndex()
 
 
 def file_shadowable(file: "SSTableFile", fence: RangeFence) -> bool:

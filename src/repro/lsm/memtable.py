@@ -15,8 +15,10 @@ from __future__ import annotations
 
 from typing import Any, Iterator
 
-from repro.lsm.entry import Entry
+from repro.lsm.entry import Entry, EntryKind
 from repro.lsm.skiplist import SkipList
+
+_PUT = EntryKind.PUT
 
 
 class Memtable:
@@ -38,6 +40,14 @@ class Memtable:
         #: replaced by a put), which is safe: FADE may flush slightly early,
         #: never late.  O(1) to maintain, checked on every ingest.
         self.first_tombstone_time: int | None = None
+        #: ``(lowest seqno, lowest delete key)`` among the puts buffered
+        #: since the last drain (None: no put yet).  Conservative -- a
+        #: replaced or removed put never raises them -- so the fence
+        #: retirement audit may skip walking this buffer for a fence older
+        #: than every buffered put, or ending below every put's delete key.
+        #: One tuple, rebound whole, so a concurrent audit reads a
+        #: consistent pair with one attribute load.
+        self.low_put: tuple[int, Any] | None = None
 
     # ------------------------------------------------------------------
     # write path
@@ -53,7 +63,16 @@ class Memtable:
         old = self._map.insert(entry.key, entry)
         if old is not None and old.is_tombstone:
             self._tombstones -= 1
-        if entry.is_tombstone:
+        if entry.kind is _PUT:
+            low = self.low_put
+            if low is None:
+                self.low_put = (entry.seqno, entry.delete_key)
+            elif entry.seqno < low[0] or entry.delete_key < low[1]:
+                self.low_put = (
+                    min(entry.seqno, low[0]),
+                    min(entry.delete_key, low[1]),
+                )
+        elif entry.is_tombstone:
             self._tombstones += 1
             if self.first_tombstone_time is None:
                 self.first_tombstone_time = entry.write_time
@@ -120,4 +139,5 @@ class Memtable:
         self._map.clear()
         self._tombstones = 0
         self.first_tombstone_time = None
+        self.low_put = None
         return entries

@@ -140,6 +140,7 @@ class SSTableFile:
         "page_count",
         "_seqno_bounds",
         "fence_known_clear",
+        "shadow_memo",
     )
 
     def __init__(
@@ -173,6 +174,9 @@ class SSTableFile:
         #: Fence seqnos proven (by a full walk) to shadow nothing in this
         #: file; immutability makes the memo permanent.
         self.fence_known_clear: set[int] = set()
+        #: ``(index token, answer)`` of the last
+        #: :meth:`RangeTombstoneIndex.fully_shadows` asked about this file.
+        self.shadow_memo: tuple[int, bool] | None = None
         offsets = []
         total = 0
         for tile in tiles:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from operator import attrgetter
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.clock import LogicalClock
 from repro.config import CompactionStyle, LSMConfig
@@ -40,10 +40,10 @@ from repro.errors import (
 )
 from repro.lsm.entry import Entry
 from repro.lsm.fence import (
+    NO_FENCES,
     RangeFence,
-    file_fully_shadowed,
+    RangeTombstoneIndex,
     file_shadowable,
-    shadow_check,
 )
 from repro.lsm.iterator import scan_fused
 from repro.lsm.level import Level
@@ -170,9 +170,10 @@ class LSMTree:
         #: referencing it would make a crash in between unrecoverable.
         self._doomed_files: list[int] = []
         #: Live range-tombstone fences (lazy secondary range deletes),
-        #: oldest first.  Always rebound as a whole tuple, never mutated,
-        #: so concurrent readers snapshot it with one attribute load.
-        self._fences: tuple[RangeFence, ...] = ()
+        #: oldest first, indexed for shadow checks.  Always rebound as a
+        #: whole index, never mutated, so concurrent readers snapshot it
+        #: with one attribute load.
+        self._fences: RangeTombstoneIndex = NO_FENCES
         #: High-water sequence number of entries durable in *runs* (i.e.
         #: flushed).  Distinct from ``_seqno``, which also counts entries
         #: living only in the memtable+WAL: the WAL replay filter must
@@ -699,7 +700,7 @@ class LSMTree:
         # eager delete purges them from the memtable (the flushed mark
         # above still covers them, so WAL replay never resurrects them
         # into a tree whose fences could have retired meanwhile).
-        check = shadow_check(self._fences)
+        check = self._fences.check
         if check is not None:
             entries = [e for e in entries if not check(e)]
         now = self.clock.now()
@@ -891,7 +892,7 @@ class LSMTree:
                 levels = self._rebuild_read_levels()
         else:
             frozen, levels = wp.read_view()
-        check = shadow_check(fences)
+        check = fences.check
         entry = memtable.get(key)
         if entry is not None:
             if check is None or not check(entry):
@@ -928,7 +929,7 @@ class LSMTree:
                 # descent: a file whose every entry is shadowed by a
                 # range-tombstone fence serves nothing, so the lookup
                 # skips its I/O entirely.
-                if check is not None and file_fully_shadowed(file, fences):
+                if check is not None and fences.fully_shadows(file):
                     level.lookup_skips_fence += 1
                     continue
                 if hashed is None:
@@ -1042,7 +1043,7 @@ class LSMTree:
         return map(
             _ENTRY_PAIR,
             scan_fused(
-                sources, limit=limit, reverse=reverse, drop=shadow_check(fences)
+                sources, limit=limit, reverse=reverse, drop=fences.check
             ),
         )
 
@@ -1225,7 +1226,7 @@ class LSMTree:
     # range-tombstone fences (lazy secondary range deletes)
     # ==================================================================
     @property
-    def fences(self) -> tuple[RangeFence, ...]:
+    def fences(self) -> RangeTombstoneIndex:
         """The live range-tombstone fences (a snapshot; oldest first)."""
         return self._fences
 
@@ -1257,7 +1258,7 @@ class LSMTree:
 
     def _install_fence(self, fence: RangeFence) -> None:
         """Attach ``fence`` to the live set (no durability side effects)."""
-        self._fences = self._fences + (fence,)
+        self._fences = self._fences.install(fence)
         # The read path changed shape even though no run did: force the
         # next maintenance pass to evaluate (fence resolution may already
         # be plannable) and drop the structure-derived fast path.
@@ -1265,51 +1266,61 @@ class LSMTree:
         if self._fade is not None:
             self._fade.fence_added(fence, self.deepest_nonempty_level())
 
-    def _buffer_shadowable(self, buffers: Iterable[Iterable[Entry]] = ()) -> bool:
-        """True when the memtable (or ``buffers``) holds a shadowed entry."""
-        check = shadow_check(self._fences)
-        if check is None:
-            return False
-        # Snapshot the sidecar dict, not the skip-list: background
-        # threads audit this while a writer may be inserting, and a
-        # dict-values copy is atomic under the GIL.
-        for entry in list(self.memtable._map._index.values()):
-            if check(entry):
-                return True
-        for buffer in buffers:
-            for entry in buffer:
-                if check(entry):
-                    return True
-        return False
+    def _buffer_shadowable(self) -> bool:
+        """True when the memtable holds an entry some live fence shadows."""
+        return bool(self._buffered_shadowers())
 
-    def _fence_unresolved(
-        self, fence: RangeFence, buffers: Iterable[Iterable[Entry]] = ()
-    ) -> bool:
-        """True while some live entry is still shadowed by ``fence``.
+    def _buffered_shadowers(self, frozen: Sequence[Memtable] = ()) -> set[int]:
+        """Seqnos of the live fences that shadow a buffered entry.
 
-        ``buffers`` lets the concurrent controller include its frozen
-        memtables in the audit.
+        ``frozen`` lets the concurrent controller include its frozen
+        memtables.  Each memtable's bounds (lowest put seqno, lowest put
+        delete key, both since its last drain) rule a fence out unread
+        when it is older than every buffered put or ends below every
+        buffered put's delete key; the entries are walked once for all
+        remaining fences, and only entries the index's ``check`` reports
+        shadowed are matched against them.
+
+        Background threads run this audit while a writer may insert into
+        the active memtable.  That is safe: the writer's entry takes a
+        seqno above every fence the audit sees (seqnos are issued under
+        the writer lock, fences among them, and fences install under the
+        same ``_cv`` the audit holds), so no fence here shadows it
+        -- a bound read before the insert lowered it, and a walk that
+        misses the entry, both answer correctly.  The walk copies the
+        skip list's sidecar dict, not its links: a dict-values copy is
+        atomic under the GIL.
         """
-        lo, hi, seq = fence.lo, fence.hi, fence.seqno
-        # Dict snapshot for the same thread-safety reason as
-        # _buffer_shadowable above.
-        for entry in list(self.memtable._map._index.values()):
-            if entry.is_put and entry.seqno < seq and lo <= entry.delete_key <= hi:
-                return True
-        for buffer in buffers:
-            for entry in buffer:
-                if entry.is_put and entry.seqno < seq and lo <= entry.delete_key <= hi:
-                    return True
-        for level in self._levels:
-            for run in level.runs:
-                for file in run.files:
-                    if file_shadowable(file, fence):
-                        return True
-        return False
+        found: set[int] = set()
+        fences = self._fences
+        check = fences.check
+        if check is None:
+            return found
+        for memtable in (self.memtable, *frozen):
+            low = memtable.low_put
+            if low is None:
+                continue  # no put buffered since the last drain
+            low_seqno, low_key = low
+            pending = [
+                f
+                for f in fences
+                if f.seqno > low_seqno and f.hi >= low_key and f.seqno not in found
+            ]
+            if not pending:
+                continue
+            for entry in list(memtable._map._index.values()):
+                if not check(entry):
+                    continue
+                dk, seq = entry.delete_key, entry.seqno
+                hit = [f for f in pending if seq < f.seqno and f.lo <= dk <= f.hi]
+                if hit:
+                    found.update(f.seqno for f in hit)
+                    pending = [f for f in pending if f.seqno not in found]
+                    if not pending:
+                        break
+        return found
 
-    def _retire_resolved_fences(
-        self, buffers: Iterable[Iterable[Entry]] = ()
-    ) -> int:
+    def _retire_resolved_fences(self, frozen: Sequence[Memtable] = ()) -> int:
         """Drop fences no remaining entry is shadowed by; returns how many.
 
         The caller is responsible for publishing the manifest afterwards
@@ -1318,10 +1329,21 @@ class LSMTree:
         fences = self._fences
         if not fences:
             return 0
-        live = tuple(f for f in fences if self._fence_unresolved(f, buffers))
+        buffered = self._buffered_shadowers(frozen)
+        files = [
+            file
+            for level in self._levels
+            for run in level.runs
+            for file in run.files
+        ]
+        live = [
+            f
+            for f in fences
+            if f.seqno in buffered or any(file_shadowable(file, f) for file in files)
+        ]
         if len(live) == len(fences):
             return 0
-        self._fences = live
+        self._fences = RangeTombstoneIndex(live)
         if self._fade is not None:
             kept = {f.seqno for f in live}
             for fence in fences:

@@ -58,7 +58,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from repro.lsm.compaction import execute_task, install_task, merge_task
 from repro.lsm.entry import Entry, EntryKind
-from repro.lsm.fence import RangeFence, shadow_check
+from repro.lsm.fence import RangeFence
 from repro.lsm.memtable import Memtable
 from repro.lsm.run import Run, build_files
 from repro.storage.disk import CATEGORY_FLUSH
@@ -460,7 +460,7 @@ class WritePathController:
         needed -- the fence is one WAL append plus one manifest rewrite
         under the writer lock, and becomes visible to lock-free readers
         the instant ``tree._fences`` is rebound (readers load the fence
-        tuple before any snapshot, so visibility is never late).
+        index before any snapshot, so visibility is never late).
         """
         self.raise_background_error()
         tree = self.tree
@@ -738,7 +738,7 @@ class WritePathController:
         # writing them out (the flush-time twin of eager's memtable
         # purge).  flushed_seqno above was computed over *all* drained
         # entries, so WAL replay still filters them correctly.
-        check = shadow_check(tree._fences)
+        check = tree._fences.check
         if check is not None:
             entries = [e for e in entries if not check(e)]
         if not entries:
@@ -775,11 +775,8 @@ class WritePathController:
         # Fence retirement comes *after* the republish + trim: readers
         # load fences before snapshots, so a fence may only disappear
         # once no published (or still-frozen) entry needs it.  The audit
-        # includes the remaining frozen memtables -- their sidecar
-        # indexes are plain dicts, safe to snapshot under the GIL.
-        if tree._fences and tree._retire_resolved_fences(
-            [list(mt._map._index.values()) for mt in self.frozen]
-        ):
+        # includes the remaining frozen memtables.
+        if tree._fences and tree._retire_resolved_fences(self.frozen):
             tree._persist_manifest()
 
     # ==================================================================
@@ -835,9 +832,7 @@ class WritePathController:
             and not self._reserved
             and self._active_jobs == 0
             and fade.fence_overdue(tree.clock.now())
-            and tree._retire_resolved_fences(
-                [list(mt._map._index.values()) for mt in self.frozen]
-            )
+            and tree._retire_resolved_fences(self.frozen)
         ):
             tree._persist_manifest()
 
@@ -879,10 +874,7 @@ class WritePathController:
                         self._republish()
                         # Retire-after-republish: see _install_flush.
                         if tree._fences and tree._retire_resolved_fences(
-                            [
-                                list(mt._map._index.values())
-                                for mt in self.frozen
-                            ]
+                            self.frozen
                         ):
                             tree._persist_manifest()
                         wall = perf_counter() - started
